@@ -182,6 +182,72 @@ TEST(CheckpointStateTest, RestoreRejectsBadPayloadsAndStaysUsable) {
   EXPECT_TRUE(core.generateAndRun().ok());
 }
 
+// Drives a core to the state tests/data/checkpoint_fig11.json holds: the
+// Figure-11 sweep run over host-written problem planes, plus one cache
+// buffer written from the host (the sweep itself touches no cache).
+void figure11CheckpointState(WorkbenchCore& core) {
+  core.runSession(figure11SessionScript());
+  std::vector<double> u(640);
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    u[i] = 0.25 * static_cast<double>((i * 37) % 11);
+  }
+  for (arch::PlaneId p = 0; p < 4; ++p) core.node().writePlane(p, 0, u);
+  std::vector<double> f(640);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    f[i] = 0.125 * static_cast<double>((i * 13) % 7);
+  }
+  core.node().writePlane(8, 0, f);
+  core.node().writePlane(10, 0, std::vector<double>(640, 1.0));
+  std::vector<double> cache(16);
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    cache[i] = 1.5 + static_cast<double>(i);
+  }
+  core.node().writeCache(5, 1, 0, cache);
+  ASSERT_TRUE(core.generateAndRun().ok());
+}
+
+// Checkpoint compatibility: the committed fixture was written by the
+// node engine that kept every cache buffer allocated and zero-filled from
+// construction.  A checkpoint written before an engine change must still
+// restore, re-serialize byte for byte, and serve the next request exactly
+// like a core that never left memory; the current engine, driven through
+// the same steps, must also write the very same checkpoint.
+TEST(CheckpointStateTest, CommittedFixtureRestoresAndReserializesByteForByte) {
+  const std::string path =
+      std::string(NSC_REPO_DIR) + "/tests/data/checkpoint_fig11.json";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path << " missing";
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string fixture = buffer.str();
+  const common::Result<common::Json> parsed = common::Json::parse(fixture);
+  ASSERT_TRUE(parsed.isOk()) << parsed.message();
+
+  WorkbenchContext context;
+  WorkbenchCore restored(context);
+  const common::Status status = restored.restoreState(parsed.value());
+  ASSERT_TRUE(status.isOk()) << status.message();
+  EXPECT_EQ(restored.serializeState().dump(), fixture);
+
+  WorkbenchCore control(context);
+  figure11CheckpointState(control);
+  EXPECT_EQ(control.serializeState().dump(), fixture);
+
+  const RunOutcome restored_run = restored.generateAndRun();
+  const RunOutcome control_run = control.generateAndRun();
+  ASSERT_TRUE(control_run.ok());
+  EXPECT_EQ(restored_run.generation.ok, control_run.generation.ok);
+  expectRunStatsEq(restored_run.run, control_run.run, "follow-up run");
+  for (const arch::PlaneId plane : {4, 5, 6, 7, 9}) {
+    EXPECT_EQ(restored.node().readPlane(plane, 0, 640),
+              control.node().readPlane(plane, 0, 640))
+        << "plane " << plane;
+  }
+  EXPECT_EQ(restored.node().readCache(5, 1, 0, 16),
+            control.node().readCache(5, 1, 0, 16));
+  EXPECT_EQ(restored.serializeState().dump(), control.serializeState().dump());
+}
+
 // ---------------------------------------------------------------------------
 // CheckpointStore: framing, verification, typed errors
 // ---------------------------------------------------------------------------
