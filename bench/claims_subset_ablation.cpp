@@ -7,6 +7,7 @@
 #include <set>
 
 #include "bench_common.h"
+#include "reference/reference_node.h"
 
 namespace {
 
@@ -46,7 +47,9 @@ int countUserItems(const prog::Program& program) {
   return items;
 }
 
-ModelRow runModel(bool restricted, bool use_compiled = true) {
+// Node is the engine (sim::NodeSim) or the reference interpreter.
+template <class Node = sim::NodeSim>
+ModelRow runModel(bool restricted) {
   const arch::Machine machine(restricted
                                   ? arch::MachineConfig::restrictedSubset()
                                   : arch::MachineConfig{});
@@ -61,9 +64,7 @@ ModelRow runModel(bool restricted, bool use_compiled = true) {
 
   mc::Generator generator(machine);
   const mc::GenerateResult gen = generator.generate(jacobi.program());
-  sim::NodeSim::Options node_options;
-  node_options.use_compiled = use_compiled;
-  sim::NodeSim node(machine, node_options);
+  Node node(machine);
   node.load(gen.exe);
   jacobi.load(node, problem);
   const sim::RunStats run = node.run();
@@ -129,12 +130,13 @@ void BM_RestrictedModelSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_RestrictedModelSweep);
 
-// Engine A/B: the same workload on the legacy per-cycle interpreter
-// (NodeOptions::use_compiled = false).  The ratio against BM_FullModelSweep
-// is the compiled engine's speedup, captured in every BENCH_*.json.
+// Engine A/B: the same workload on the legacy per-cycle interpreter (the
+// test-only sim::ReferenceNode).  The ratio against BM_FullModelSweep is
+// the engine's speedup, captured in every BENCH_*.json.
 void BM_InterpreterModelSweep(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runModel(false, false).cycles_per_sweep);
+    benchmark::DoNotOptimize(
+        runModel<sim::ReferenceNode>(false).cycles_per_sweep);
   }
 }
 BENCHMARK(BM_InterpreterModelSweep);

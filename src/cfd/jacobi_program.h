@@ -73,7 +73,7 @@ class JacobiProgram {
   const JacobiBuildOptions& options() const { return options_; }
 
   // Deposits u0 / f / mask into the node's memory planes.  The ReplicaStore
-  // form seeds any engine exposing the store interface (a scalar NodeSim, a
+  // form seeds any engine exposing the store interface (a NodeSim, a
   // ReplicaBatch lane, or one node of a batched HypercubeSystem).
   void load(sim::ReplicaStore& store, const PoissonProblem& problem) const;
   void load(sim::NodeSim& node, const PoissonProblem& problem) const;

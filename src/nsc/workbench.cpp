@@ -345,27 +345,13 @@ WorkbenchCore::ReplicaRunOutcome WorkbenchCore::runReplicas(
   // interleave batch-by-batch instead of serializing on the pool's
   // one-job-at-a-time range path.  Each result lands in its own slot, so
   // scheduling order cannot affect the outcome.  Width-1 remainders (and
-  // the lanes == 1 configuration) run directly on the scalar engine.
+  // every replica under lanes == 1) count as replicas run alone.
   std::atomic<int> scalar_replicas{0};
   std::vector<std::future<void>> pending;
   pending.reserve((runs.size() + static_cast<std::size_t>(lanes) - 1) /
                   static_cast<std::size_t>(lanes));
   for (int base = 0; base < replicas; base += lanes) {
     const int width = std::min(lanes, replicas - base);
-    if (width == 1) {
-      pending.push_back(context_.pool().submit(
-          [this, &runs, &program, &options, base, &scalar_replicas] {
-            sim::NodeSim replica(context_.machine());
-            replica.load(program);
-            if (options.init) {
-              sim::NodeReplicaStore store(replica);
-              options.init(base, store);
-            }
-            runs[static_cast<std::size_t>(base)] = replica.run();
-            scalar_replicas.fetch_add(1, std::memory_order_relaxed);
-          }));
-      continue;
-    }
     pending.push_back(context_.pool().submit(
         [this, &runs, &program, &options, base, width, &scalar_replicas] {
           sim::ReplicaBatch batch(context_.machine(), width);
@@ -381,7 +367,7 @@ WorkbenchCore::ReplicaRunOutcome WorkbenchCore::runReplicas(
             runs[static_cast<std::size_t>(base + w)] =
                 std::move(result.runs[static_cast<std::size_t>(w)]);
           }
-          scalar_replicas.fetch_add(result.drained_scalar,
+          scalar_replicas.fetch_add(width == 1 ? 1 : result.drained_scalar,
                                     std::memory_order_relaxed);
         }));
   }

@@ -111,7 +111,7 @@ struct RunSystemPhases {
   sim::RouterOptions router{};
   // SPMD lane width for the system's compute phases (see
   // sim::SystemOptions::node_lanes): 0 resolves via NSC_NODE_LANES, 1
-  // forces the scalar per-node engine.  Replies are bit-identical across
+  // steps every node alone.  Replies are bit-identical across
   // widths; only RequestStats engine counters differ.
   int node_lanes = 0;
 };

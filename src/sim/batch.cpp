@@ -1,17 +1,17 @@
-// The SoA batched execution engine: ReplicaBatch::executeCompiledBatch.
+// The node execution engine: ReplicaBatch::execute and the run loop.
 //
-// One shape copy of every token stream is stepped exactly like the scalar
-// compiled engine (compiled_exec.cpp) — same phases, same steady-block
-// bounds, same completion logic — while token *values* live in contiguous
-// per-lane columns (`vals[slot * W + w]`) advanced by W-wide inner loops.
-// Shape state (validity, last marks, indices, cursors, ring positions,
-// launch decisions) is data-independent, so it is identical for every
-// lockstep lane; the value loops are the only per-lane work and carry no
-// branches on lane data, so they auto-vectorize.
+// One value-free shape copy of every token stream is stepped per cycle —
+// DMA cursors, ring positions, validity/last/index tags, launch decisions —
+// while token *values* live in contiguous per-lane columns
+// (`vals[slot * W + w]`) advanced by W-wide inner loops.  Shape state is
+// data-independent, so it is identical for every lockstep lane; the value
+// loops are the only per-lane work and carry no branches on lane data, so
+// they auto-vectorize (and at W = 1 collapse to plain scalar code).
 #include "sim/batch.h"
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/env.h"
 #include "common/strings.h"
@@ -20,10 +20,13 @@ namespace nsc::sim {
 
 namespace {
 
+// Condition registers per node.
+constexpr std::size_t kCondRegs = 4;
+
 // W-wide evalOp: the opcode switch hoisted out of the lane loop.  Each case
 // must compute exactly what arch::evalOp computes per lane; rare opcodes
 // fall back to the scalar call (bit-identical, just not vectorized).  KW > 0
-// makes the trip count a compile-time constant (see executeCompiledBatchT).
+// makes the trip count a compile-time constant (see executeT).
 template <int KW>
 void evalLanes(arch::OpCode op, const double* a, const double* b, double* out,
                int rw) {
@@ -91,7 +94,7 @@ int resolveEnsembleLanes(int requested) {
 }
 
 ReplicaBatch::ReplicaBatch(const arch::Machine& machine, int lanes,
-                           NodeSim::Options options)
+                           NodeOptions options)
     : machine_(machine),
       options_(options),
       lanes_(std::clamp(lanes, 1, kMaxLanes)) {
@@ -108,12 +111,9 @@ ReplicaBatch::ReplicaBatch(const arch::Machine& machine, int lanes,
   for (auto& cache : caches_) {
     cache.resize(static_cast<std::size_t>(cfg.cache_buffers));
   }
-  cond_.assign(4 * w, 0);
+  cond_.assign(kCondRegs * w, 0);
   fu_launches_.assign(static_cast<std::size_t>(cfg.numFus()), 0);
   retired_.resize(w);
-  scratch_.a_vals.resize(w);
-  scratch_.b_vals.resize(w);
-  scratch_.res_vals.resize(w);
 }
 
 void ReplicaBatch::load(std::shared_ptr<const CompiledProgram> program) {
@@ -122,34 +122,75 @@ void ReplicaBatch::load(std::shared_ptr<const CompiledProgram> program) {
   pc_ = 0;
   halted_ = false;
   std::fill(cond_.begin(), cond_.end(), 0);
-  for (auto& node : retired_) {
-    if (node == nullptr) continue;
-    // A retired lane's continuation node was created with the budget that
-    // remained at its retirement; a fresh load grants the full per-run
-    // budget again, exactly like any scalar node being (re)loaded.
-    node->options_.max_instructions = options_.max_instructions;
-    node->load(program_);
+  for (auto& lane : retired_) {
+    if (lane == nullptr) continue;
+    // A continuation was created with the budget that remained at its
+    // retirement; a fresh load grants the full per-run budget again.
+    lane->options_.max_instructions = options_.max_instructions;
+    lane->load(program_);
   }
 }
 
 void ReplicaBatch::restart() {
-  // NodeSim::restart across every lockstep lane: the lanes share one
-  // sequencer, so one reset covers them all; memory is untouched.
+  // The lockstep lanes share one sequencer, so one reset covers them all;
+  // memory is untouched.
   pc_ = 0;
   halted_ = false;
   std::fill(cond_.begin(), cond_.end(), 0);
   std::fill(loop_counters_.begin(), loop_counters_.end(), std::nullopt);
-  for (auto& node : retired_) {
-    if (node == nullptr) continue;
-    node->options_.max_instructions = options_.max_instructions;
-    node->restart();
+  for (auto& lane : retired_) {
+    if (lane == nullptr) continue;
+    lane->options_.max_instructions = options_.max_instructions;
+    lane->restart();
   }
 }
 
-// Mirrors NodeSim::ensurePlaneSize per lane (each lane's logical size grows
-// exactly as its scalar replica's backing store would), then extends the
-// shared SoA store to the widest lane.  The layout is address-major, so a
-// plain resize keeps existing words in place and zero-fills the growth.
+bool ReplicaBatch::cond(int lane, int reg) const {
+  checkLane(lane);
+  if (reg < 0 || static_cast<std::size_t>(reg) >= kCondRegs) {
+    throw std::out_of_range(
+        common::strFormat("condition register %d out of range", reg));
+  }
+  const auto l = static_cast<std::size_t>(lane);
+  if (retired_[l] != nullptr) return retired_[l]->cond(0, reg);
+  return cond_[static_cast<std::size_t>(reg) * static_cast<std::size_t>(lanes_) +
+               l] != 0;
+}
+
+void ReplicaBatch::checkLane(int lane) const {
+  if (lane < 0 || lane >= lanes_) {
+    throw std::out_of_range(
+        common::strFormat("lane %d out of range (%d lanes)", lane, lanes_));
+  }
+}
+
+void ReplicaBatch::checkPlane(int lane, arch::PlaneId plane) const {
+  checkLane(lane);
+  if (plane < 0 || static_cast<std::size_t>(plane) >= planes_.size()) {
+    throw std::out_of_range(common::strFormat(
+        "plane %d out of range (%zu planes)", plane, planes_.size()));
+  }
+}
+
+void ReplicaBatch::checkCache(int lane, arch::CacheId cache,
+                              int buffer) const {
+  checkLane(lane);
+  if (cache < 0 || static_cast<std::size_t>(cache) >= caches_.size()) {
+    throw std::out_of_range(common::strFormat(
+        "cache %d out of range (%zu caches)", cache, caches_.size()));
+  }
+  const std::size_t buffers = caches_[static_cast<std::size_t>(cache)].size();
+  if (buffer < 0 || static_cast<std::size_t>(buffer) >= buffers) {
+    throw std::out_of_range(common::strFormat(
+        "cache buffer %d out of range (%zu buffers)", buffer, buffers));
+  }
+}
+
+// Each lane's logical size grows geometrically (capped at the simulated
+// capacity), so a program whose instructions extend the touched range step
+// by step reallocates O(log n) times; the shared SoA store then extends to
+// the widest lane.  The layout is address-major, so a plain resize keeps
+// existing words in place and zero-fills the growth.
 void ReplicaBatch::ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed) {
   const std::uint64_t cap = machine_.config().sim_plane_words;
   const auto p = static_cast<std::size_t>(plane);
@@ -180,31 +221,34 @@ std::vector<double>& ReplicaBatch::cacheStore(std::size_t cache,
 void ReplicaBatch::writePlane(int lane, arch::PlaneId plane,
                               std::uint64_t base,
                               std::span<const double> values) {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    retired_[static_cast<std::size_t>(lane)]->writePlane(plane, base, values);
+  checkPlane(lane, plane);
+  const auto l = static_cast<std::size_t>(lane);
+  if (retired_[l] != nullptr) {
+    retired_[l]->writePlane(0, plane, base, values);
     return;
   }
   const auto p = static_cast<std::size_t>(plane);
   const auto w = static_cast<std::size_t>(lanes_);
-  // Per-lane growth and overflow-drop semantics identical to
-  // NodeSim::writePlane against this lane's logical size.
+  // Words beyond the simulated capacity are dropped, mirroring the DMA
+  // engines' in-range stores (a backing store never exceeds the cap).
   ensurePlaneSize(plane, base + values.size());
-  const std::uint64_t words = lane_plane_words_[p][static_cast<std::size_t>(lane)];
+  const std::uint64_t words = lane_plane_words_[p][l];
   const std::uint64_t start = std::min<std::uint64_t>(base, words);
   const std::uint64_t fit =
       std::min<std::uint64_t>(values.size(), words - start);
   double* mem = planes_[p].data();
   for (std::uint64_t i = 0; i < fit; ++i) {
-    mem[(start + i) * w + static_cast<std::size_t>(lane)] = values[i];
+    mem[(start + i) * w + l] = values[i];
   }
 }
 
 void ReplicaBatch::writeCache(int lane, arch::CacheId cache, int buffer,
                               std::uint64_t base,
                               std::span<const double> values) {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    retired_[static_cast<std::size_t>(lane)]->writeCache(cache, buffer, base,
-                                                         values);
+  checkCache(lane, cache, buffer);
+  const auto l = static_cast<std::size_t>(lane);
+  if (retired_[l] != nullptr) {
+    retired_[l]->writeCache(0, cache, buffer, base, values);
     return;
   }
   const std::uint64_t words = machine_.config().cacheWords();
@@ -213,13 +257,14 @@ void ReplicaBatch::writeCache(int lane, arch::CacheId cache, int buffer,
                            static_cast<std::size_t>(buffer))
                     .data();
   for (std::size_t i = 0; i < values.size() && base + i < words; ++i) {
-    mem[(base + i) * w + static_cast<std::size_t>(lane)] = values[i];
+    mem[(base + i) * w + l] = values[i];
   }
 }
 
 std::vector<double> ReplicaBatch::readPlane(int lane, arch::PlaneId plane,
                                             std::uint64_t base,
                                             std::uint64_t count) const {
+  checkPlane(lane, plane);
   std::vector<double> out(count, 0.0);
   readPlaneInto(lane, plane, base, out);
   return out;
@@ -228,99 +273,178 @@ std::vector<double> ReplicaBatch::readPlane(int lane, arch::PlaneId plane,
 void ReplicaBatch::readPlaneInto(int lane, arch::PlaneId plane,
                                  std::uint64_t base,
                                  std::span<double> out) const {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    retired_[static_cast<std::size_t>(lane)]->readPlaneInto(plane, base, out);
+  checkPlane(lane, plane);
+  const auto l = static_cast<std::size_t>(lane);
+  if (retired_[l] != nullptr) {
+    retired_[l]->readPlaneInto(0, plane, base, out);
     return;
   }
   const auto p = static_cast<std::size_t>(plane);
   const auto w = static_cast<std::size_t>(lanes_);
-  const std::uint64_t words = lane_plane_words_[p][static_cast<std::size_t>(lane)];
+  const std::uint64_t words = lane_plane_words_[p][l];
   const double* mem = planes_[p].data();
   for (std::size_t i = 0; i < out.size(); ++i) {
     const std::uint64_t addr = base + i;
-    out[i] = addr < words ? mem[addr * w + static_cast<std::size_t>(lane)] : 0.0;
+    out[i] = addr < words ? mem[addr * w + l] : 0.0;
   }
 }
 
 std::vector<double> ReplicaBatch::readCache(int lane, arch::CacheId cache,
                                             int buffer, std::uint64_t base,
                                             std::uint64_t count) const {
-  if (retired_[static_cast<std::size_t>(lane)] != nullptr) {
-    return retired_[static_cast<std::size_t>(lane)]->readCache(cache, buffer,
-                                                               base, count);
-  }
-  const std::uint64_t words = machine_.config().cacheWords();
-  const auto w = static_cast<std::size_t>(lanes_);
+  checkCache(lane, cache, buffer);
   std::vector<double> out(count, 0.0);
-  const std::vector<double>& store = caches_.at(static_cast<std::size_t>(cache))
-                                         .at(static_cast<std::size_t>(buffer));
-  if (store.empty()) return out;  // never touched: all zeros
-  const double* mem = store.data();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t addr = base + i;
-    if (addr < words) out[i] = mem[addr * w + static_cast<std::size_t>(lane)];
-  }
+  readCacheInto(lane, cache, buffer, base, out);
   return out;
 }
 
-std::unique_ptr<NodeSim> ReplicaBatch::extractLane(
-    int w, int lane_pc, bool lane_halted, std::uint64_t executed) const {
-  NodeSim::Options opts = options_;
-  opts.max_instructions = options_.max_instructions - executed;
-  auto node = std::make_unique<NodeSim>(machine_, opts);
-  const auto lane = static_cast<std::size_t>(w);
-  const auto lanes = static_cast<std::size_t>(lanes_);
-  node->program_ = program_;
-  node->loop_counters_ = loop_counters_;
-  node->pc_ = lane_pc;
-  node->halted_ = lane_halted;
-  for (std::size_t r = 0; r < 4; ++r) {
-    node->cond_regs_[r] = cond_[r * lanes + lane] != 0;
+void ReplicaBatch::readCacheInto(int lane, arch::CacheId cache, int buffer,
+                                 std::uint64_t base,
+                                 std::span<double> out) const {
+  checkCache(lane, cache, buffer);
+  const auto l = static_cast<std::size_t>(lane);
+  if (retired_[l] != nullptr) {
+    retired_[l]->readCacheInto(0, cache, buffer, base, out);
+    return;
   }
+  const std::uint64_t words = machine_.config().cacheWords();
+  const auto w = static_cast<std::size_t>(lanes_);
+  const std::vector<double>& store = caches_[static_cast<std::size_t>(cache)]
+                                            [static_cast<std::size_t>(buffer)];
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t addr = base + i;
+    // An untouched buffer (empty store) reads as all zeros.
+    out[i] = addr < words && !store.empty() ? store[addr * w + l] : 0.0;
+  }
+}
+
+NodeSnapshot ReplicaBatch::snapshot(int lane) const {
+  checkLane(lane);
+  const auto l = static_cast<std::size_t>(lane);
+  if (retired_[l] != nullptr) return retired_[l]->snapshot(0);
+  const auto w = static_cast<std::size_t>(lanes_);
+  // Lane `l`'s first `words` words of an SoA store (a plain copy at W = 1).
+  const auto column = [w, l](const std::vector<double>& soa,
+                             std::size_t words) {
+    if (w == 1) return std::vector<double>(soa.begin(), soa.begin() + words);
+    std::vector<double> out(words);
+    for (std::size_t a = 0; a < words; ++a) out[a] = soa[a * w + l];
+    return out;
+  };
+  NodeSnapshot snap;
+  snap.planes.reserve(planes_.size());
   for (std::size_t p = 0; p < planes_.size(); ++p) {
-    const std::uint64_t words = lane_plane_words_[p][lane];
-    auto& mem = node->planes_[p];
-    mem.assign(words, 0.0);
-    const double* soa = planes_[p].data();
-    for (std::uint64_t a = 0; a < words; ++a) mem[a] = soa[a * lanes + lane];
+    snap.planes.push_back(column(planes_[p], lane_plane_words_[p][l]));
   }
-  const std::uint64_t cache_words = machine_.config().cacheWords();
+  const std::size_t cache_words = machine_.config().cacheWords();
+  snap.caches.resize(caches_.size());
   for (std::size_t c = 0; c < caches_.size(); ++c) {
-    for (std::size_t buf = 0; buf < caches_[c].size(); ++buf) {
-      if (caches_[c][buf].empty()) continue;  // untouched: node's is zeroed
-      auto& mem = node->caches_[c][buf];
-      const double* soa = caches_[c][buf].data();
-      for (std::uint64_t a = 0; a < cache_words; ++a) {
-        mem[a] = soa[a * lanes + lane];
-      }
+    for (const std::vector<double>& soa : caches_[c]) {
+      // An untouched buffer is all zeros.
+      snap.caches[c].push_back(soa.empty()
+                                   ? std::vector<double>(cache_words, 0.0)
+                                   : column(soa, cache_words));
     }
   }
-  return node;
+  snap.cond_regs.resize(kCondRegs);
+  for (std::size_t r = 0; r < kCondRegs; ++r) {
+    snap.cond_regs[r] = cond_[r * w + l] != 0;
+  }
+  snap.pc = pc_;
+  snap.halted = halted_;
+  return snap;
 }
 
-InstrStats ReplicaBatch::executeCompiledBatch(const CompiledInstr& ci,
-                                              int instr_index,
-                                              const std::string& name) {
-  // The SIMD-friendly widths get bodies with compile-time-constant lane
-  // loops; anything else takes the runtime-width fallback (KW = 0).
+void ReplicaBatch::restoreSnapshot(NodeSnapshot snapshot) {
+  if (lanes_ != 1) {
+    throw std::logic_error("ReplicaBatch::restoreSnapshot needs a width-1 batch");
+  }
+  // Shape mismatches (a checkpoint from a different machine config) are the
+  // caller's to reject — the serialization layer validates counts against
+  // the machine before handing the snapshot over.  At width 1 the SoA
+  // layout is the plain one, so the images are adopted wholesale and
+  // restored memory is bit-identical to the source node's.
+  planes_ = std::move(snapshot.planes);
+  plane_words_.resize(planes_.size());
+  lane_plane_words_.resize(planes_.size());
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    plane_words_[p] = planes_[p].size();
+    lane_plane_words_[p].assign(1, planes_[p].size());
+  }
+  caches_ = std::move(snapshot.caches);
+  cond_.assign(snapshot.cond_regs.begin(), snapshot.cond_regs.end());
+  cond_.resize(kCondRegs, 0);
+  pc_ = snapshot.pc;
+  halted_ = snapshot.halted;
+  program_.reset();
+  loop_counters_.clear();
+}
+
+std::unique_ptr<ReplicaBatch> ReplicaBatch::extractLane(
+    int w, int lane_pc, bool lane_halted, std::uint64_t executed) const {
+  NodeOptions opts = options_;
+  opts.max_instructions = options_.max_instructions - executed;
+  auto lane = std::make_unique<ReplicaBatch>(machine_, 1, opts);
+  lane->restoreSnapshot(snapshot(w));
+  lane->program_ = program_;
+  lane->loop_counters_ = loop_counters_;
+  lane->pc_ = lane_pc;
+  lane->halted_ = lane_halted;
+  return lane;
+}
+
+void ReplicaBatch::emitTrace(int instr_index, std::uint64_t cycle) const {
+  const Scratch& s = scratch_;
+  const auto w = static_cast<std::size_t>(lanes_);
+  TraceFrame frame;
+  frame.instruction = instr_index;
+  frame.cycle = cycle;
+  frame.source_tokens.resize(s.src_out.size());
+  for (std::size_t i = 0; i < s.src_out.size(); ++i) {
+    const Shape& shape = s.src_out[i];
+    frame.source_tokens[i] =
+        Token{s.src_vals[i * w], shape.valid, shape.last, shape.index};
+  }
+  trace_(frame);
+}
+
+InstrStats ReplicaBatch::execute(const CompiledInstr& ci, int instr_index,
+                                 const std::string& name) {
+  // The common widths get bodies with compile-time-constant lane loops;
+  // anything else takes the runtime-width body (KW = 0).
   switch (lanes_) {
-    case 4: return executeCompiledBatchT<4>(ci, instr_index, name);
-    case 8: return executeCompiledBatchT<8>(ci, instr_index, name);
-    case 16: return executeCompiledBatchT<16>(ci, instr_index, name);
-    default: return executeCompiledBatchT<0>(ci, instr_index, name);
+    case 1: return executeT<1>(ci, instr_index, name);
+    case 4: return executeT<4>(ci, instr_index, name);
+    case 8: return executeT<8>(ci, instr_index, name);
+    case 16: return executeT<16>(ci, instr_index, name);
+    default: return executeT<0>(ci, instr_index, name);
   }
 }
 
+// Executes one lowered instruction with the cycle structure
+//
+//   fill -> steady state -> drain
+//
+// where the steady-state region runs up to the instruction's
+// verifier-proven steady_window cycles back to back (64 when unproven)
+// with no per-cycle completion polling: every endpoint index, ring size,
+// and route was resolved at compile time (sim/compiled.cpp), and the block
+// length is a proven lower bound on the cycles remaining before the
+// instruction can complete.  Completion, drain accounting, and the
+// condition latch are checked cycle by cycle outside those blocks.
 template <int KW>
-InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
-                                               int instr_index,
-                                               const std::string& name) {
+InstrStats ReplicaBatch::executeT(const CompiledInstr& ci, int instr_index,
+                                  const std::string& name) {
   const arch::MachineConfig& cfg = machine_.config();
   const int W = KW > 0 ? KW : lanes_;
+  const auto Wz = static_cast<std::size_t>(W);
+  // Operand staging: registers at small compile-time widths.
+  constexpr int kStage = KW > 0 ? KW : kMaxLanes;
   InstrStats stats;
   stats.instruction = instr_index;
   stats.name = name;
 
+  // Faults proven at compile time surface at issue.
   if (ci.fault.kind != FaultKind::kNone) {
     stats.error = true;
     stats.fault = ci.fault.kind;
@@ -331,8 +455,7 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
     ensurePlaneSize(plane, needed);
   }
   // Cache write targets must exist before the cycle loop dereferences them
-  // (reads of untouched buffers fall through to zero, like a pre-zeroed
-  // scalar buffer).
+  // (reads of untouched buffers fall through to zero).
   for (const CompiledDma& wr : ci.writes) {
     if (wr.is_cache) {
       cacheStore(static_cast<std::size_t>(wr.unit),
@@ -344,39 +467,44 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
   Scratch& s = scratch_;
   const std::size_t n_src = machine_.sources().size();
   const std::size_t n_dst = machine_.destinations().size();
-  s.src_out.assign(n_src, Token::invalid());
-  s.dst_in.assign(n_dst, Token::invalid());
-  s.arena.assign(ci.ring_slots, Token::invalid());
-  s.src_vals.assign(n_src * static_cast<std::size_t>(W), 0.0);
-  s.dst_vals.assign(n_dst * static_cast<std::size_t>(W), 0.0);
-  s.arena_vals.assign(ci.ring_slots * static_cast<std::size_t>(W), 0.0);
+  s.src_out.assign(n_src, Shape{});
+  s.dst_in.assign(n_dst, Shape{});
+  s.arena.assign(ci.ring_slots, Shape{});
+  s.src_vals.assign(n_src * Wz, 0.0);
+  s.dst_vals.assign(n_dst * Wz, 0.0);
+  s.arena_vals.assign(ci.ring_slots * Wz, 0.0);
   s.fu.assign(ci.fus.size(), Scratch::FuRun{});
-  s.acc.assign(ci.fus.size() * static_cast<std::size_t>(W), 0.0);
+  s.acc.assign(ci.fus.size() * Wz, 0.0);
   for (std::size_t k = 0; k < ci.fus.size(); ++k) {
     if (ci.fus[k].is_accum) {
-      double* acc = s.acc.data() + k * static_cast<std::size_t>(W);
-      for (int i = 0; i < W; ++i) acc[i] = ci.fus[k].rf_value;
+      double* acc = s.acc.data() + k * Wz;
+      for (int l = 0; l < W; ++l) acc[l] = ci.fus[k].rf_value;
     }
   }
   s.reads.assign(ci.reads.size(), Scratch::DmaRun{});
   s.writes.assign(ci.writes.size(), Scratch::DmaRun{});
   s.sd_pos.assign(ci.sds.size(), 0);
 
+  // Lane columns of one endpoint / ring slot.
+  const auto col = [Wz](std::vector<double>& vals, std::size_t slot) {
+    return vals.data() + slot * Wz;
+  };
+  const auto copyCol = [W](double* to, const double* from) {
+    for (int l = 0; l < W; ++l) to[l] = from[l];
+  };
+
   const std::uint64_t drain_budget = drainBudget(cfg);
   std::uint64_t drain = 0;
   bool cond_fired = false;
 
-  // One cycle of dataflow across all lanes; the shape side is a line-by-line
-  // mirror of NodeSim::executeCompiled's stepCycle.
-  const auto stepCycle = [&]() {
+  // One cycle of dataflow across all lanes.
+  const auto stepCycle = [&](std::uint64_t cycle) {
     // Phase 1a: DMA read engines produce this cycle's tokens.
     for (std::size_t i = 0; i < ci.reads.size(); ++i) {
       const CompiledDma& rd = ci.reads[i];
       Scratch::DmaRun& run = s.reads[i];
-      Token tok = Token::invalid();
-      double* out = s.src_vals.data() +
-                    static_cast<std::size_t>(rd.endpoint) *
-                        static_cast<std::size_t>(W);
+      double* out = col(s.src_vals, static_cast<std::size_t>(rd.endpoint));
+      Shape tok;
       if (run.element < rd.total) {
         const std::uint64_t element = run.element;
         const auto addr = static_cast<std::uint64_t>(
@@ -394,17 +522,16 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
                         : planes_[static_cast<std::size_t>(rd.unit)];
         // One shared address per cycle: W contiguous lane values.  The
         // in-range check uses the shared SoA extent, which agrees with
-        // every lane's scalar check (both stores cover all non-wrapped DMA
+        // every lane's own check (both stores cover all non-wrapped DMA
         // addresses once plane_grows ran; wrapped addresses exceed both).
         const std::uint64_t addr_base = addr * static_cast<std::uint64_t>(W);
         if (addr_base < mem.size()) {
-          const double* col = mem.data() + addr_base;
-          for (int l = 0; l < W; ++l) out[l] = col[l];
+          copyCol(out, mem.data() + addr_base);
         } else {
           for (int l = 0; l < W; ++l) out[l] = 0.0;
         }
-        tok = Token{0.0, true, run.element == rd.total,
-                    static_cast<std::int32_t>(element)};
+        tok = Shape{static_cast<std::int32_t>(element), true,
+                    run.element == rd.total};
       } else {
         for (int l = 0; l < W; ++l) out[l] = 0.0;
       }
@@ -418,15 +545,9 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
       for (const CompiledSdTap& tap : sd.taps) {
         std::uint32_t at = pos + tap.back;
         if (at >= sd.hist_len) at -= sd.hist_len;
-        s.src_out[static_cast<std::size_t>(tap.src)] =
-            s.arena[sd.hist_off + at];
-        const double* from = s.arena_vals.data() +
-                             static_cast<std::size_t>(sd.hist_off + at) *
-                                 static_cast<std::size_t>(W);
-        double* to = s.src_vals.data() +
-                     static_cast<std::size_t>(tap.src) *
-                         static_cast<std::size_t>(W);
-        for (int l = 0; l < W; ++l) to[l] = from[l];
+        s.src_out[static_cast<std::size_t>(tap.src)] = s.arena[sd.hist_off + at];
+        copyCol(col(s.src_vals, static_cast<std::size_t>(tap.src)),
+                col(s.arena_vals, sd.hist_off + at));
       }
     }
 
@@ -434,52 +555,44 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
     for (std::size_t k = 0; k < ci.fus.size(); ++k) {
       const CompiledFu& fu = ci.fus[k];
       Scratch::FuRun& st = s.fu[k];
-      double* acc = s.acc.data() + k * static_cast<std::size_t>(W);
+      double* acc = s.acc.data() + k * Wz;
 
-      // Shape token returned; lane values land in `out[0..W)`.
+      // Shape returned; lane values land in `out[0..W)`.
       const auto operand = [&](const CompiledOperand& op,
-                               double* out) -> Token {
-        Token tok = Token::invalid();
+                               double* out) -> Shape {
+        Shape tok;
         switch (op.kind) {
-          case OperandKind::kSwitch: {
+          case OperandKind::kSwitch:
             tok = s.dst_in[static_cast<std::size_t>(op.index)];
-            const double* col = s.dst_vals.data() +
-                                static_cast<std::size_t>(op.index) *
-                                    static_cast<std::size_t>(W);
-            for (int l = 0; l < W; ++l) out[l] = col[l];
+            copyCol(out, col(s.dst_vals, static_cast<std::size_t>(op.index)));
             break;
-          }
           case OperandKind::kChain:
             if (op.index >= 0) {
               tok = s.src_out[static_cast<std::size_t>(op.index)];
-              const double* col = s.src_vals.data() +
-                                  static_cast<std::size_t>(op.index) *
-                                      static_cast<std::size_t>(W);
-              for (int l = 0; l < W; ++l) out[l] = col[l];
+              copyCol(out, col(s.src_vals, static_cast<std::size_t>(op.index)));
             } else {
               for (int l = 0; l < W; ++l) out[l] = 0.0;
             }
             break;
           case OperandKind::kConst:
             for (int l = 0; l < W; ++l) out[l] = fu.rf_value;
-            return Token::constant(fu.rf_value);
+            return Shape{-1, true, false};
           case OperandKind::kFeedback:
-            for (int l = 0; l < W; ++l) out[l] = acc[l];
-            return Token{0.0, true, false, -1};
+            copyCol(out, acc);
+            return Shape{-1, true, false};
           case OperandKind::kNone:
+          default:
             for (int l = 0; l < W; ++l) out[l] = 0.0;
             return tok;
         }
         if (op.queue) {
-          Token* queue = s.arena.data() + fu.rfq_off;
-          double* qcol = s.arena_vals.data() +
-                         static_cast<std::size_t>(fu.rfq_off + st.rfq_pos) *
-                             static_cast<std::size_t>(W);
-          const Token delayed = queue[st.rfq_pos];
-          queue[st.rfq_pos] = tok;
+          Shape& queued = s.arena[fu.rfq_off + st.rfq_pos];
+          double* q = col(s.arena_vals, fu.rfq_off + st.rfq_pos);
+          const Shape delayed = queued;
+          queued = tok;
           for (int l = 0; l < W; ++l) {
-            const double d = qcol[l];
-            qcol[l] = out[l];
+            const double d = q[l];
+            q[l] = out[l];
             out[l] = d;
           }
           st.rfq_pos = st.rfq_pos + 1 == fu.rfq_len ? 0 : st.rfq_pos + 1;
@@ -488,53 +601,52 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
         return tok;
       };
 
-      const Token a = operand(fu.a, s.a_vals.data());
-      const Token b = operand(fu.b, s.b_vals.data());
-      double* res = s.res_vals.data();
+      double a_vals[kStage];
+      double b_vals[kStage];
+      const Shape a = operand(fu.a, a_vals);
+      const Shape b = operand(fu.b, b_vals);
 
-      Token result = Token::invalid();
+      // The pipe slot leaving this cycle feeds the FU's output endpoint;
+      // the launch result enters the same slot.
+      const std::size_t pipe_slot = fu.pipe_off + st.pipe_pos;
+      double* pipe = col(s.arena_vals, pipe_slot);
+      s.src_out[static_cast<std::size_t>(fu.out_src)] = s.arena[pipe_slot];
+      copyCol(col(s.src_vals, static_cast<std::size_t>(fu.out_src)), pipe);
+      st.pipe_pos = st.pipe_pos + 1 == fu.pipe_len ? 0 : st.pipe_pos + 1;
+
+      // One launch site (so the W-wide evaluation inlines): an accumulator
+      // launches on its stream operand into the running value, any other
+      // unit on all wired operands into the entering pipe slot.
+      Shape result;
+      bool launch = false;
       if (fu.is_accum) {
-        const Token& stream = fu.accum_stream_is_a ? a : b;
-        if (stream.valid) {
-          evalLanes<KW>(fu.op, s.a_vals.data(), s.b_vals.data(), acc, W);
-          if (fu.counts_flop) ++stats.flops;
-          ++fu_launches_[static_cast<std::size_t>(fu.fu)];
-        }
-        // The unit emits the running value every cycle (valid only on the
-        // final element), so the result column is always the accumulator.
-        for (int l = 0; l < W; ++l) res[l] = acc[l];
-        result = Token{0.0, stream.valid && stream.last,
-                       stream.valid && stream.last, stream.index};
+        const Shape& stream = fu.accum_stream_is_a ? a : b;
+        launch = stream.valid;
+        result = Shape{stream.index, stream.valid && stream.last,
+                       stream.valid && stream.last};
       } else {
-        bool valid = fu.a.wired ? a.valid : false;
-        if (fu.b.wired) valid = valid && b.valid;
+        launch = fu.a.wired ? a.valid : false;
+        if (fu.b.wired) launch = launch && b.valid;
         if (fu.a.stream && fu.b.stream && a.valid != b.valid) ++stats.hazards;
-        if (valid) {
-          evalLanes<KW>(fu.op, s.a_vals.data(), s.b_vals.data(), res, W);
+        if (launch) {
           result.valid = true;
           result.last = (fu.a.wired && a.last) || (fu.b.wired && b.last);
           result.index = a.index >= 0 ? a.index : b.index;
-          if (fu.counts_flop) ++stats.flops;
-          ++fu_launches_[static_cast<std::size_t>(fu.fu)];
-        } else {
-          for (int l = 0; l < W; ++l) res[l] = 0.0;
         }
       }
-
-      Token* pipe = s.arena.data() + fu.pipe_off;
-      double* pcol = s.arena_vals.data() +
-                     static_cast<std::size_t>(fu.pipe_off + st.pipe_pos) *
-                         static_cast<std::size_t>(W);
-      double* out_col = s.src_vals.data() +
-                        static_cast<std::size_t>(fu.out_src) *
-                            static_cast<std::size_t>(W);
-      s.src_out[static_cast<std::size_t>(fu.out_src)] = pipe[st.pipe_pos];
-      pipe[st.pipe_pos] = result;
-      for (int l = 0; l < W; ++l) {
-        out_col[l] = pcol[l];
-        pcol[l] = res[l];
+      if (launch) {
+        evalLanes<KW>(fu.op, a_vals, b_vals, fu.is_accum ? acc : pipe, W);
+        if (fu.counts_flop) ++stats.flops;
+        ++fu_launches_[static_cast<std::size_t>(fu.fu)];
       }
-      st.pipe_pos = st.pipe_pos + 1 == fu.pipe_len ? 0 : st.pipe_pos + 1;
+      if (fu.is_accum) {
+        // The unit emits the running value every cycle (valid only on the
+        // final element), so the result is always the accumulator.
+        copyCol(pipe, acc);
+      } else if (!launch) {
+        for (int l = 0; l < W; ++l) pipe[l] = 0.0;
+      }
+      s.arena[pipe_slot] = result;
     }
 
     // Phase 2a: write engines capture arriving tokens.
@@ -542,8 +654,7 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
       const CompiledDma& wr = ci.writes[i];
       Scratch::DmaRun& run = s.writes[i];
       if (run.element >= wr.total) continue;
-      const Token& tok = s.dst_in[static_cast<std::size_t>(wr.endpoint)];
-      if (!tok.valid) continue;
+      if (!s.dst_in[static_cast<std::size_t>(wr.endpoint)].valid) continue;
       const auto addr = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(wr.base) +
           static_cast<std::int64_t>(run.row) * wr.stride2 +
@@ -559,40 +670,33 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
                       : planes_[static_cast<std::size_t>(wr.unit)];
       const std::uint64_t addr_base = addr * static_cast<std::uint64_t>(W);
       if (addr_base < mem.size()) {
-        const double* col = s.dst_vals.data() +
-                            static_cast<std::size_t>(wr.endpoint) *
-                                static_cast<std::size_t>(W);
-        double* dst = mem.data() + addr_base;
-        for (int l = 0; l < W; ++l) dst[l] = col[l];
+        copyCol(mem.data() + addr_base,
+                col(s.dst_vals, static_cast<std::size_t>(wr.endpoint)));
       }
     }
 
     // Phase 2b: condition latch watches the source FU's emerging stream.
     if (ci.cond_enable && ci.cond_src >= 0) {
-      const Token& tok = s.src_out[static_cast<std::size_t>(ci.cond_src)];
+      const Shape& tok = s.src_out[static_cast<std::size_t>(ci.cond_src)];
       if (tok.valid && tok.last) {
-        const double* col = s.src_vals.data() +
-                            static_cast<std::size_t>(ci.cond_src) *
-                                static_cast<std::size_t>(W);
+        const double* from =
+            col(s.src_vals, static_cast<std::size_t>(ci.cond_src));
         std::uint8_t* regs =
-            cond_.data() + static_cast<std::size_t>(ci.cond_reg) *
-                               static_cast<std::size_t>(W);
-        for (int l = 0; l < W; ++l) regs[l] = col[l] > 0.5 ? 1 : 0;
+            cond_.data() + static_cast<std::size_t>(ci.cond_reg) * Wz;
+        for (int l = 0; l < W; ++l) regs[l] = from[l] > 0.5 ? 1 : 0;
         cond_fired = true;
       }
     }
+
+    if (trace_) emitTrace(instr_index, cycle);
 
     // Phase 3: switch network transfers (registered: consumers see these
     // tokens next cycle).
     for (const auto& [dst, src] : ci.routes) {
       s.dst_in[static_cast<std::size_t>(dst)] =
           s.src_out[static_cast<std::size_t>(src)];
-      const double* from = s.src_vals.data() +
-                           static_cast<std::size_t>(src) *
-                               static_cast<std::size_t>(W);
-      double* to = s.dst_vals.data() +
-                   static_cast<std::size_t>(dst) * static_cast<std::size_t>(W);
-      for (int l = 0; l < W; ++l) to[l] = from[l];
+      copyCol(col(s.dst_vals, static_cast<std::size_t>(dst)),
+              col(s.src_vals, static_cast<std::size_t>(src)));
     }
 
     // Phase 4: shift/delay history advances on the freshly routed input.
@@ -600,20 +704,12 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
       const CompiledSd& sd = ci.sds[i];
       s.arena[sd.hist_off + s.sd_pos[i]] =
           s.dst_in[static_cast<std::size_t>(sd.in_dst)];
-      const double* from = s.dst_vals.data() +
-                           static_cast<std::size_t>(sd.in_dst) *
-                               static_cast<std::size_t>(W);
-      double* to = s.arena_vals.data() +
-                   static_cast<std::size_t>(sd.hist_off + s.sd_pos[i]) *
-                       static_cast<std::size_t>(W);
-      for (int l = 0; l < W; ++l) to[l] = from[l];
+      copyCol(col(s.arena_vals, sd.hist_off + s.sd_pos[i]),
+              col(s.dst_vals, static_cast<std::size_t>(sd.in_dst)));
       s.sd_pos[i] = s.sd_pos[i] + 1 == sd.hist_len ? 0 : s.sd_pos[i] + 1;
     }
   };
 
-  // Fill / steady / drain structure, completion logic, and timeout faulting
-  // below mirror NodeSim::executeCompiled exactly (block bounds are shape
-  // state, identical for every lane).
   std::uint64_t cycle = 0;
   bool completed = false;
   while (!completed) {
@@ -627,16 +723,24 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
       return stats;
     }
 
+    // --- Steady state: a lower bound on the cycles left before this
+    // instruction can possibly complete; all of them run back to back with
+    // no completion polling.  With the condition latch armed, completion
+    // can follow the latch within a cycle, so the bound stays at zero and
+    // every cycle runs in precise (per-cycle checked) mode instead.
     std::uint64_t block = 0;
-    std::uint64_t reads_settle = 0;
+    std::uint64_t reads_settle = 0;  // cycle the last read engine finishes
     if (!ci.cond_enable) {
       if (!ci.writes.empty()) {
+        // Every engine captures at most one element per cycle.
         std::uint64_t rem = 0;
         for (std::size_t i = 0; i < ci.writes.size(); ++i) {
           rem = std::max(rem, ci.writes[i].total - s.writes[i].element);
         }
         block = rem > 0 ? rem - 1 : 0;
       } else if (!ci.reads.empty()) {
+        // Read-only: reads finish 1/cycle unconditionally, then the drain
+        // counter must climb from `drain` to drain_budget + 1.
         std::uint64_t rem = 0;
         for (std::size_t i = 0; i < ci.reads.size(); ++i) {
           rem = std::max(rem, ci.reads[i].total - s.reads[i].element);
@@ -645,20 +749,27 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
         block = reads_settle + drain_budget - drain - 1;
       }
     }
-    block = std::min(block, options_.steady_block_override
-                                ? options_.steady_block_override
-                                : std::uint64_t{ci.steady_window});
+    // Cap the block at the verifier-proven safe window for this
+    // instruction.  The remaining-element bound above is already a
+    // completion-distance proof, so the cap never changes the executed
+    // cycle sequence — only how often completion is polled.
+    block = std::min<std::uint64_t>(block, ci.steady_window);
     block = std::min(block, options_.max_cycles_per_instruction - cycle - 1);
     if (block > 0) {
-      for (std::uint64_t b = 0; b < block; ++b) stepCycle();
+      for (std::uint64_t b = 0; b < block; ++b) stepCycle(cycle + b);
       if (ci.writes.empty() && !ci.reads.empty() && block >= reads_settle) {
+        // The drain counter climbs at the end of every cycle from the one
+        // where the reads settle; account for the block in one step.
         drain += block - reads_settle + 1;
       }
       cycle += block;
       continue;
     }
 
-    stepCycle();
+    // --- Boundary cycle: run one cycle, then the exact completion logic
+    // ("an elaborate interrupt scheme is used to signal pipeline
+    // completions").
+    stepCycle(cycle);
     ++cycle;
 
     const bool cond_ok = !ci.cond_enable || cond_fired;
@@ -677,10 +788,11 @@ InstrStats ReplicaBatch::executeCompiledBatchT(const CompiledInstr& ci,
         completed = ++drain > drain_budget;
       }
     } else {
-      completed = true;
+      completed = true;  // control-only instruction
     }
   }
 
+  // Double-buffered caches swap at instruction end when requested.
   for (const arch::CacheId c : ci.swaps) {
     std::swap(caches_[static_cast<std::size_t>(c)][0],
               caches_[static_cast<std::size_t>(c)][1]);
@@ -701,16 +813,15 @@ BatchRunResult ReplicaBatch::run() {
   int active_count = W;
   std::uint64_t executed = 0;
 
-  // Lanes that left the batch in an earlier run stay scalar for good: their
-  // continuation nodes already hold the lane's exact state, so each further
-  // run (a new SPMD phase after restart()) simply executes on the reference
-  // engine and reports that run's stats, like any scalar node would.
+  // Lanes that left the batch in an earlier run stay in their continuation
+  // batches for good: each further run (a new SPMD phase after restart())
+  // executes there and reports that run's stats, like any lone node.
   for (int w = 0; w < W; ++w) {
     const auto lane = static_cast<std::size_t>(w);
     if (retired_[lane] == nullptr) continue;
     active_[lane] = 0;
     --active_count;
-    RunStats cont = retired_[lane]->run();
+    RunStats cont = std::move(retired_[lane]->run().runs[0]);
     if (cont.instructions_executed > 0) ++out.drained_scalar;
     runs_[lane] = std::move(cont);
   }
@@ -720,47 +831,54 @@ BatchRunResult ReplicaBatch::run() {
       if (active_[static_cast<std::size_t>(w)]) fn(w);
     }
   };
-  // Retires lane `w` into a private scalar NodeSim that finishes the run on
-  // the reference engine; the node also keeps the lane's final memory for
-  // post-run readPlane/readCache.
-  const auto retire = [&](int w, int lane_pc, bool lane_halted) {
+  // Ends lane `w`'s part in this run with the shared launch counts.
+  const auto finish = [&](int w) -> RunStats& {
     RunStats& r = runs_[static_cast<std::size_t>(w)];
     r.fu_launches = fu_launches_;
-    auto node = extractLane(w, lane_pc, lane_halted, executed);
-    RunStats cont = node->run();
-    if (cont.instructions_executed > 0) ++out.drained_scalar;
-    r.absorbContinuation(std::move(cont));
-    retired_[static_cast<std::size_t>(w)] = std::move(node);
     active_[static_cast<std::size_t>(w)] = 0;
     --active_count;
+    return r;
+  };
+  // Retires lane `w` into a width-1 continuation that finishes the run; the
+  // continuation also keeps the lane's memory for later host access.
+  const auto retire = [&](int w, int lane_pc, bool lane_halted) {
+    RunStats& r = finish(w);
+    auto lane = extractLane(w, lane_pc, lane_halted, executed);
+    RunStats cont = std::move(lane->run().runs[0]);
+    if (cont.instructions_executed > 0) ++out.drained_scalar;
+    r.absorbContinuation(std::move(cont));
+    retired_[static_cast<std::size_t>(w)] = std::move(lane);
   };
 
   const std::size_t program_size = program_ ? program_->size() : 0;
-  if (program_size == 0 && !halted_) {
-    // Degenerate case the scalar engine spins on deterministically; defer
-    // to it wholesale rather than replicating the spin here.
-    forActive([&](int w) { retire(w, pc_, halted_); });
-    out.runs = std::move(runs_);
-    return out;
-  }
+  const auto inRange = [program_size](int pc) {
+    return pc >= 0 && static_cast<std::size_t>(pc) < program_size;
+  };
 
   while (active_count > 0) {
     if (halted_) {
+      forActive([&](int w) { finish(w).halted = true; });
+      break;
+    }
+    if (program_size == 0) {
+      // Nothing to issue and not halted (e.g. a restored node before its
+      // next load): every remaining budget step executes an empty
+      // instruction, so the run ends with the budget exhausted.
+      const std::uint64_t left = options_.max_instructions - executed;
       forActive([&](int w) {
-        RunStats& r = runs_[static_cast<std::size_t>(w)];
-        r.halted = true;
-        r.fu_launches = fu_launches_;
-        active_[static_cast<std::size_t>(w)] = 0;
+        RunStats& r = finish(w);
+        r.instructions_executed += left;
+        r.trace.resize(r.trace.size() + left);
+        r.error = true;
+        r.error_message = "instruction budget exhausted";
       });
       break;
     }
     if (executed >= options_.max_instructions) {
       forActive([&](int w) {
-        RunStats& r = runs_[static_cast<std::size_t>(w)];
+        RunStats& r = finish(w);
         r.error = true;
         r.error_message = "instruction budget exhausted";
-        r.fu_launches = fu_launches_;
-        active_[static_cast<std::size_t>(w)] = 0;
       });
       break;
     }
@@ -770,8 +888,7 @@ BatchRunResult ReplicaBatch::run() {
     static const std::string kUnnamed;
     const std::string& name =
         slot < program_->names.size() ? program_->names[slot] : kUnnamed;
-    InstrStats instr =
-        executeCompiledBatch(program_->instrs[slot], index, name);
+    InstrStats instr = execute(program_->instrs[slot], index, name);
     ++executed;
     forActive([&](int w) {
       RunStats& r = runs_[static_cast<std::size_t>(w)];
@@ -782,120 +899,96 @@ BatchRunResult ReplicaBatch::run() {
       r.trace.push_back(instr);
     });
     if (instr.error) {
-      // Shape-level faults hit every lockstep lane identically, exactly as
-      // each scalar replica would fault on its own.  The shared sequencer
-      // halts like NodeSim::run does on error, so a later restart()+run()
-      // (the next SPMD phase) replays identically to scalar nodes restarted
-      // after the same fault.
+      // Shape-level faults hit every lockstep lane identically.  The shared
+      // sequencer halts, so a later restart()+run() (the next SPMD phase)
+      // replays identically to lone nodes restarted after the same fault.
       halted_ = true;
       forActive([&](int w) {
-        RunStats& r = runs_[static_cast<std::size_t>(w)];
+        RunStats& r = finish(w);
         r.error = true;
         r.fault = instr.fault;
         r.error_message = instr.error_message;
         r.halted = true;
-        r.fu_launches = fu_launches_;
-        active_[static_cast<std::size_t>(w)] = 0;
       });
       break;
     }
 
-    // --- Sequencer: per-lane only where a condition register is consulted
-    // (mirrors NodeSim::applySequencer). ---
+    // --- Sequencer: next/jump/branch/loop/halt.  A pc leaving the program
+    // halts the node (the pc keeps the out-of-range value); only branches
+    // consult per-lane condition registers.
     const InstrPlan& plan = program_->plans[slot];
-    // Lane outcome key: next pc, or -1 for halt.
-    int uniform_key = -1;
-    bool per_lane = false;
-    switch (plan.seq_op) {
-      case arch::SeqOp::kNext:
-        uniform_key = index + 1;
-        break;
-      case arch::SeqOp::kJump:
-        uniform_key = plan.seq_target;
-        break;
-      case arch::SeqOp::kBranchIf:
-      case arch::SeqOp::kBranchNot:
-        per_lane = true;
-        break;
-      case arch::SeqOp::kLoop: {
-        // Lockstep lanes share one counter; one decrement covers all.
-        auto& counter = loop_counters_[slot];
-        if (!counter.has_value()) counter = plan.seq_count;
-        if (--*counter > 0) {
-          uniform_key = plan.seq_target;
-        } else {
-          counter.reset();
-          uniform_key = index + 1;
+    if (plan.seq_op != arch::SeqOp::kBranchIf &&
+        plan.seq_op != arch::SeqOp::kBranchNot) {
+      int next = index + 1;
+      bool halt = false;
+      switch (plan.seq_op) {
+        case arch::SeqOp::kJump:
+          next = plan.seq_target;
+          break;
+        case arch::SeqOp::kLoop: {
+          // Lockstep lanes share one counter; one decrement covers all.
+          auto& counter = loop_counters_[slot];
+          if (!counter.has_value()) counter = plan.seq_count;
+          if (--*counter > 0) {
+            next = plan.seq_target;
+          } else {
+            counter.reset();
+          }
+          break;
         }
-        break;
+        case arch::SeqOp::kHalt:
+          next = index;
+          halt = true;
+          break;
+        default:
+          break;
       }
-      case arch::SeqOp::kHalt:
-        uniform_key = -1;
-        break;
-    }
-    const auto boundsKey = [&](int pc) {
-      return pc < 0 || pc >= static_cast<int>(program_size) ? -1 : pc;
-    };
-    if (!per_lane) {
-      if (uniform_key != -1) uniform_key = boundsKey(uniform_key);
-      if (uniform_key == -1) {
-        halted_ = true;
-      } else {
-        pc_ = uniform_key;
-      }
+      pc_ = next;
+      halted_ = halt || !inRange(next);
       continue;
     }
 
-    // Per-lane branch: partition active lanes by outcome.
+    // Per-lane branch: two outcomes, [0] falls through, [1] is taken.
+    const int outcome_pc[2] = {index + 1, plan.seq_target};
     const std::uint8_t* regs =
         cond_.data() + static_cast<std::size_t>(plan.seq_cond_reg) *
                            static_cast<std::size_t>(W);
-    int keys[2] = {0, 0};
-    int counts[2] = {0, 0};
-    int n_keys = 0;
-    std::vector<int> lane_key(static_cast<std::size_t>(W), -1);
+    const bool take_when_set = plan.seq_op == arch::SeqOp::kBranchIf;
+    int count[2] = {0, 0};
+    int first_lane[2] = {W, W};
     forActive([&](int w) {
-      const bool taken = plan.seq_op == arch::SeqOp::kBranchIf
-                             ? regs[w] != 0
-                             : regs[w] == 0;
-      const int key = boundsKey(taken ? plan.seq_target : index + 1);
-      lane_key[static_cast<std::size_t>(w)] = key;
-      for (int i = 0; i < n_keys; ++i) {
-        if (keys[i] == key) {
-          ++counts[i];
-          return;
-        }
-      }
-      keys[n_keys] = key;
-      counts[n_keys] = 1;
-      ++n_keys;
+      const int t = (regs[w] != 0) == take_when_set ? 1 : 0;
+      if (count[t]++ == 0) first_lane[t] = w;
     });
-    if (n_keys == 1) {
-      if (keys[0] == -1) {
-        halted_ = true;
-      } else {
-        pc_ = keys[0];
-      }
+    const auto laneOutcome = [&](int w) {
+      return (regs[w] != 0) == take_when_set ? 1 : 0;
+    };
+    if (count[0] == 0 || count[1] == 0 || outcome_pc[0] == outcome_pc[1]) {
+      pc_ = outcome_pc[count[1] > 0 ? 1 : 0];
+      halted_ = !inRange(pc_);
       continue;
     }
-    // Keep the largest live group in the batch (ties favour the group seen
-    // first, i.e. containing the lowest lane index); every other lane
-    // leaves for the scalar engine.
+    // Keep the larger in-range group in the batch (ties favour the group
+    // holding the lowest lane); every other lane leaves for a width-1
+    // continuation.  Lanes that halt together stay put.
     int keep = -1;
-    int keep_count = -1;
-    for (int i = 0; i < n_keys; ++i) {
-      if (keys[i] != -1 && counts[i] > keep_count) {
-        keep = keys[i];
-        keep_count = counts[i];
+    for (int t = 0; t < 2; ++t) {
+      if (!inRange(outcome_pc[t])) continue;
+      if (keep < 0 || count[t] > count[keep] ||
+          (count[t] == count[keep] && first_lane[t] < first_lane[keep])) {
+        keep = t;
       }
     }
+    if (keep < 0) {
+      pc_ = outcome_pc[laneOutcome(std::min(first_lane[0], first_lane[1]))];
+      halted_ = true;
+      continue;
+    }
     forActive([&](int w) {
-      const int key = lane_key[static_cast<std::size_t>(w)];
-      if (key == keep) return;
-      retire(w, key == -1 ? index : key, key == -1);
+      const int t = laneOutcome(w);
+      if (t != keep) retire(w, outcome_pc[t], !inRange(outcome_pc[t]));
     });
-    if (keep == -1) break;  // every lane halted or left the batch
-    pc_ = keep;
+    pc_ = outcome_pc[keep];
   }
 
   out.runs = std::move(runs_);

@@ -1,49 +1,82 @@
-// ReplicaBatch: structure-of-arrays batched execution of one CompiledProgram
-// over W replica lanes (ensembles as the vector axis).
+// ReplicaBatch: the node execution engine.  One CompiledProgram steps W
+// lanes of node state in structure-of-arrays form; a single node is simply
+// a width-1 batch (NodeSim, sim/node.h, is that facade).
 //
-// runEnsemble replicas execute the *same* compiled instruction stream over
-// different data.  In this machine the timing of every token — validity,
-// last-element marks, DMA cursor positions, ring offsets, launch decisions,
-// completion interrupts — is data-independent: only token *values*,
-// accumulator contents, and latched condition booleans depend on the data.
-// ReplicaBatch exploits that split.  Per-node state is packed as
-// structure-of-arrays (a plane word `addr` holds lanes at
-// `mem[addr * W + w]`), one *shape* copy of every token stream is stepped
-// exactly as the scalar compiled engine does (compiled_exec.cpp), and only
-// the value arithmetic runs as contiguous W-wide inner loops — no per-lane
-// dispatch, auto-vectorizable, one CompiledInstr stepping all lanes per
-// cycle inside the verifier-proven steady blocks.
+// Every lane runs the *same* compiled instruction stream over different
+// data: ensemble replicas (runEnsemble), the nodes of one SPMD hypercube
+// phase (HypercubeSystem lane groups), or one node on its own.  In this
+// machine the timing of every token — validity, last-element marks, DMA
+// cursor positions, ring offsets, launch decisions, completion interrupts —
+// is data-independent: only token *values*, accumulator contents, and
+// latched condition booleans depend on the data.  The engine exploits that
+// split.  Per-node state is packed as structure-of-arrays (a plane word
+// `addr` holds lanes at `mem[addr * W + w]`), one value-free *shape* copy of
+// every token stream is stepped once per cycle in blocked
+// fill/steady/drain form, and only the value arithmetic runs as W-wide
+// inner loops — no per-lane dispatch, auto-vectorizable, one CompiledInstr
+// stepping all lanes per cycle inside the verifier-proven steady blocks.
 //
-// Lanes therefore run in exact lockstep until the *sequencer* consults a
-// condition register (kBranchIf / kBranchNot) whose per-lane values
-// disagree.  At that instruction boundary the batch keeps the largest
-// agreeing lane group and retires every other lane into a private scalar
-// NodeSim — seeded with an exact de-interleaved copy of the lane's memory,
-// condition registers, and loop counters — which finishes the run on the
-// reference engine.  Faults (compile-time DMA bounds, cycle timeouts) are
-// shape-level and hit every lockstep lane identically, exactly as the same
-// replicas would fault one by one on the scalar engine.  The golden tests
-// in test_compiled.cpp / test_workbench.cpp pin every lane's InstrStats,
-// fu_launches, planes, and caches bit-identical to a scalar NodeSim run.
+// Lanes run in exact lockstep until the *sequencer* consults a condition
+// register (kBranchIf / kBranchNot) whose per-lane values disagree.  At
+// that instruction boundary the batch keeps the largest agreeing lane group
+// and retires every other lane into a private width-1 batch — seeded with
+// an exact de-interleaved copy of the lane's memory, condition registers,
+// and loop counters — which finishes the run on the same engine.  Faults
+// (compile-time DMA bounds, cycle timeouts) are shape-level and hit every
+// lockstep lane identically, exactly as the same replicas would fault one
+// by one.  The golden tests in test_compiled.cpp pin every lane's
+// InstrStats, fu_launches, planes, and caches bit-identical to the test-only
+// reference interpreter (tests/reference) run one replica at a time.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "arch/machine.h"
 #include "sim/compiled.h"
-#include "sim/node.h"
 #include "sim/stats.h"
 #include "sim/token.h"
 
 namespace nsc::sim {
 
-// Host-side seeding interface over one replica's memory, implemented by
-// both execution paths (a scalar NodeSim and one lane of a ReplicaBatch),
-// so a single per-replica init callback seeds either engine identically.
+// One cycle of observable dataflow, for the visual debugger (paper,
+// Section 6: "each new instruction would display the corresponding pipeline
+// diagram, annotated to show data values flowing through the pipeline").
+struct TraceFrame {
+  int instruction = 0;
+  std::uint64_t cycle = 0;
+  // Token per switch source endpoint, indexed like Machine::sources().
+  std::vector<Token> source_tokens;
+};
+using TraceSink = std::function<void(const TraceFrame&)>;
+
+struct NodeOptions {
+  std::uint64_t max_cycles_per_instruction = 64ull * 1024 * 1024;
+  std::uint64_t max_instructions = 1ull << 20;
+};
+
+// Everything that survives between instructions and is observable by a
+// later request: plane/cache memory images, condition registers, and the
+// sequencer position.  The loaded program is deliberately absent — it is
+// immutable, shared, and re-resolved through the compiled-program cache by
+// the next load(); loop counters are re-armed by load() as well.  Every
+// cache buffer is stored whole (cacheWords() words, zeros if untouched).
+struct NodeSnapshot {
+  std::vector<std::vector<double>> planes;                // [plane][word]
+  std::vector<std::vector<std::vector<double>>> caches;   // [cache][buf][w]
+  std::vector<bool> cond_regs;
+  int pc = 0;
+  bool halted = false;
+};
+
+// Host-side seeding interface over one node's memory (a NodeSim, one lane
+// of a ReplicaBatch, one node of a HypercubeSystem), so a single
+// per-replica init callback seeds any of them identically.
 class ReplicaStore {
  public:
   virtual void writePlane(arch::PlaneId plane, std::uint64_t base,
@@ -55,27 +88,10 @@ class ReplicaStore {
   ~ReplicaStore() = default;
 };
 
-// Adapter: a NodeSim as a ReplicaStore (the scalar ensemble path).
-class NodeReplicaStore final : public ReplicaStore {
- public:
-  explicit NodeReplicaStore(NodeSim& node) : node_(node) {}
-  void writePlane(arch::PlaneId plane, std::uint64_t base,
-                  std::span<const double> values) override {
-    node_.writePlane(plane, base, values);
-  }
-  void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
-                  std::span<const double> values) override {
-    node_.writeCache(cache, buffer, base, values);
-  }
-
- private:
-  NodeSim& node_;
-};
-
 struct BatchRunResult {
   std::vector<RunStats> runs;  // runs[w] is lane w's full-run stats
   // Lanes that left the batch at a divergence point and executed at least
-  // one instruction on the scalar reference engine.
+  // one instruction in their own width-1 continuation batch.
   int drained_scalar = 0;
 };
 
@@ -84,39 +100,51 @@ class ReplicaBatch {
   static constexpr int kMaxLanes = 64;
 
   ReplicaBatch(const arch::Machine& machine, int lanes,
-               NodeSim::Options options = {});
+               NodeOptions options = {});
 
   int lanes() const { return lanes_; }
+  const arch::Machine& machine() const { return machine_; }
+  const std::shared_ptr<const CompiledProgram>& program() const {
+    return program_;
+  }
 
   // Loads a compiled program (shared, immutable) and re-arms the sequencer;
-  // lane memory is untouched, like NodeSim::load.  Lanes already retired to
-  // scalar continuation nodes load the same image (with a fresh instruction
-  // budget), exactly as per-node load would.
+  // lane memory is untouched.  Lanes already retired to continuation
+  // batches load the same image (with a fresh instruction budget).
   void load(std::shared_ptr<const CompiledProgram> program);
 
-  // Re-arms the sequencer at instruction 0 for the next phase without
-  // touching lane memory — NodeSim::restart applied to every lane at once
+  // Re-arms the sequencer at instruction 0 without touching lane memory
   // (pc, halt flag, condition registers, loop counters).  Retired lanes
-  // restart their scalar continuation nodes with the full per-run
-  // instruction budget restored, exactly like a scalar node re-entering a
-  // phase; the SPMD phase driver (sim/node_batch.h) calls this between
-  // compute phases.
+  // restart their continuation batches with the full per-run instruction
+  // budget restored; multi-phase SPMD drivers call this between phases.
   void restart();
 
-  // ---- Per-lane host memory access (scalar-engine semantics per lane) ----
+  // Sequencer state shared by the lockstep lanes (for a width-1 batch: the
+  // node's own).
+  int pc() const { return pc_; }
+  bool halted() const { return halted_; }
+  bool cond(int lane, int reg) const;
+
+  // ---- Per-lane host memory access ----
+  // Plane, cache, and buffer ids are checked (std::out_of_range), so a bad
+  // id from a request is an error, never an out-of-bounds access.  Plane
+  // backing stores grow on demand (geometric, capped at sim_plane_words);
+  // writes beyond the cap are dropped and reads beyond a lane's store
+  // zero-fill.
   void writePlane(int lane, arch::PlaneId plane, std::uint64_t base,
                   std::span<const double> values);
   void writeCache(int lane, arch::CacheId cache, int buffer,
                   std::uint64_t base, std::span<const double> values);
   std::vector<double> readPlane(int lane, arch::PlaneId plane,
                                 std::uint64_t base, std::uint64_t count) const;
-  // Copy-free gather of one lane's plane words (scalar readPlaneInto
-  // semantics: zero-fill beyond the lane's backing store) — the exchange
-  // staging path of batched hypercube systems reads halo vectors this way.
+  // Copy-free gather of one lane's plane words — the exchange staging path
+  // of hypercube systems reads halo vectors this way.
   void readPlaneInto(int lane, arch::PlaneId plane, std::uint64_t base,
                      std::span<double> out) const;
   std::vector<double> readCache(int lane, arch::CacheId cache, int buffer,
                                 std::uint64_t base, std::uint64_t count) const;
+  void readCacheInto(int lane, arch::CacheId cache, int buffer,
+                     std::uint64_t base, std::span<double> out) const;
   // The seeding view of one lane (for EnsembleOptions::init callbacks).
   class LaneStore final : public ReplicaStore {
    public:
@@ -135,40 +163,64 @@ class ReplicaBatch {
     int lane_;
   };
 
+  // De-interleaved copy of one lane's durable state.
+  NodeSnapshot snapshot(int lane) const;
+  // Width-1 batches only: adopts a snapshot taken on the same machine
+  // config.  The batch afterwards has no loaded program; memory reads and a
+  // subsequent load+run behave bit-identically to the snapshotted node.
+  void restoreSnapshot(NodeSnapshot snapshot);
+
+  // Receives one frame per simulated cycle, built from the shape tokens and
+  // lane 0's values (the debugger's node).
+  void setTraceSink(TraceSink sink) { trace_ = std::move(sink); }
+
   // Runs every lane from the current pc to halt / error / budget, batched
-  // while lanes agree and scalar-drained after divergence.  Per-lane
-  // results are index-stable.  Re-runnable across load()/restart()
+  // while lanes agree and in width-1 continuations after divergence.
+  // Per-lane results are index-stable.  Re-runnable across load()/restart()
   // boundaries: each call reports that run only, and lanes retired in an
-  // earlier run continue on their scalar continuation nodes (counted in
+  // earlier run continue in their continuation batches (counted in
   // BatchRunResult::drained_scalar), so a multi-phase SPMD driver can
-  // restart() + run() per phase with per-phase stats identical to scalar
+  // restart() + run() per phase with per-phase stats identical to lone
   // nodes.
   BatchRunResult run();
 
  private:
-  // The SoA compiled engine: one CompiledInstr across all lanes (shape
-  // stepped once, values W-wide); mirrors executeCompiled cycle for cycle.
-  // Dispatches to the KW-specialized body so the common widths run with
-  // compile-time-constant lane loops (fully unrolled / vectorized); KW = 0
-  // is the runtime-width fallback for unusual lane counts.
-  InstrStats executeCompiledBatch(const CompiledInstr& ci, int instr_index,
-                                  const std::string& name);
+  // Value-free token: the data-independent half of a sim::Token.  Lane
+  // values travel separately in the `*_vals` columns.
+  struct Shape {
+    std::int32_t index = -1;
+    bool valid = false;
+    bool last = false;
+  };
+
+  // One CompiledInstr across all lanes (shape stepped once, values W-wide).
+  // Dispatches to the KW-specialized body so the common widths (1 included)
+  // run with compile-time-constant lane loops; KW = 0 is the runtime-width
+  // body for other lane counts.
+  InstrStats execute(const CompiledInstr& ci, int instr_index,
+                     const std::string& name);
   template <int KW>
-  InstrStats executeCompiledBatchT(const CompiledInstr& ci, int instr_index,
-                                   const std::string& name);
+  InstrStats executeT(const CompiledInstr& ci, int instr_index,
+                      const std::string& name);
+  void emitTrace(int instr_index, std::uint64_t cycle) const;
+  void checkLane(int lane) const;
+  void checkPlane(int lane, arch::PlaneId plane) const;
+  void checkCache(int lane, arch::CacheId cache, int buffer) const;
   // Cache buffers allocate lazily on first write (host or DMA); empty means
-  // all-zero, exactly what a scalar NodeSim's pre-zeroed buffer reads as.
+  // all-zero.
   std::vector<double>& cacheStore(std::size_t cache, std::size_t buffer);
-  // Grows plane SoA backing (and each lane's scalar-equivalent logical
-  // size) exactly like NodeSim::ensurePlaneSize does per replica.
+  // Grows plane SoA backing, tracking each lane's own logical size (the
+  // size a lone node's backing store would have), so per-lane growth
+  // history stays observable exactly as if each lane ran alone.
   void ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed);
-  // De-interleaves lane `w` into a private NodeSim carrying the lane's
-  // exact mid-run state; the node finishes the run on the scalar engine.
-  std::unique_ptr<NodeSim> extractLane(int w, int lane_pc, bool lane_halted,
-                                       std::uint64_t executed) const;
+  // Moves lane `w` into a private width-1 batch carrying the lane's exact
+  // mid-run state; the continuation finishes the run on its own.
+  std::unique_ptr<ReplicaBatch> extractLane(int w, int lane_pc,
+                                            bool lane_halted,
+                                            std::uint64_t executed) const;
 
   const arch::Machine& machine_;
-  NodeSim::Options options_;
+  NodeOptions options_;
   const int lanes_;
 
   std::shared_ptr<const CompiledProgram> program_;
@@ -177,12 +229,10 @@ class ReplicaBatch {
   // planes_[p] holds plane_words_[p] * W doubles, address-major.
   std::vector<std::vector<double>> planes_;
   std::vector<std::uint64_t> plane_words_;  // shared physical words per plane
-  // What a scalar NodeSim's backing store size would be for this lane
-  // (lane_plane_words_[p][w]); host reads/writes and lane extraction use it
-  // so per-lane growth history stays observably identical to the scalar
-  // engine.  DMA in-range checks may use the shared physical size: both
-  // sizes cover every non-wrapped DMA address (plane_grows ran), so the
-  // comparisons agree.
+  // Each lane's logical backing-store size (lane_plane_words_[p][w]); host
+  // reads/writes, snapshots, and lane extraction use it.  DMA in-range
+  // checks may use the shared physical size: both sizes cover every
+  // non-wrapped DMA address (plane_grows ran), so the comparisons agree.
   std::vector<std::vector<std::uint64_t>> lane_plane_words_;
   // [c][buf]: SoA, lazily allocated (empty buffer == all zeros).
   std::vector<std::vector<std::vector<double>>> caches_;
@@ -194,17 +244,21 @@ class ReplicaBatch {
   // Shared run accounting (identical for every lockstep lane).
   std::vector<std::uint64_t> fu_launches_;
 
-  // Lanes retired mid-run (divergence): the NodeSim holds the lane's final
-  // memory, so readPlane/readCache route through it after run().
-  std::vector<std::unique_ptr<NodeSim>> retired_;
+  // Lanes retired mid-run (divergence): the continuation holds the lane's
+  // memory from then on, so host access routes through it.
+  std::vector<std::unique_ptr<ReplicaBatch>> retired_;
   std::vector<std::uint8_t> active_;
   std::vector<RunStats> runs_;
 
+  TraceSink trace_;
+
   // ---- Reusable per-instruction execution state ----
-  // Shape arrays mirror NodeSim::Scratch one-for-one; `*_vals` carry the
+  // Shapes per switch source / destination / ring slot; `*_vals` carry the
   // per-lane token values (endpoint- or slot-major, W contiguous lanes).
+  // Capacity survives across instructions, so steady-state stepping never
+  // allocates.
   struct Scratch {
-    std::vector<Token> src_out, dst_in, arena;
+    std::vector<Shape> src_out, dst_in, arena;
     std::vector<double> src_vals, dst_vals, arena_vals;
     struct FuRun {
       std::uint32_t pipe_pos = 0;
@@ -219,14 +273,14 @@ class ReplicaBatch {
     };
     std::vector<DmaRun> reads, writes;
     std::vector<std::uint32_t> sd_pos;
-    std::vector<double> a_vals, b_vals, res_vals;  // W-wide operand staging
   };
   Scratch scratch_;
 };
 
 // Resolves the effective ensemble lane width: an explicit request >= 1 wins
 // (clamped to kMaxLanes), else the NSC_ENSEMBLE_LANES environment variable,
-// else kDefaultEnsembleLanes.  1 selects the scalar per-replica path.
+// else kDefaultEnsembleLanes.  1 runs every replica as its own width-1
+// batch.
 inline constexpr int kDefaultEnsembleLanes = 8;
 int resolveEnsembleLanes(int requested);
 

@@ -14,11 +14,11 @@
 // nodes of a HypercubeSystem running the same SPMD executable share one
 // compiled image instead of 64 private decoded copies.
 //
-// Both execution engines consume this program: the legacy cycle interpreter
-// (NodeSim::execute, kept as the semantic reference behind
-// NodeOptions::use_compiled = false) walks the InstrPlans; the compiled
-// engine walks the CompiledInstrs.  The golden tests in test_compiled.cpp
-// pin the two to bit-identical InstrStats and memory contents.
+// The execution engine (sim/batch.h, which NodeSim wraps at width 1) walks
+// the CompiledInstrs and takes sequencer fields from the InstrPlans; the
+// test-only reference interpreter (tests/reference) walks the InstrPlans
+// cycle by cycle.  The golden tests in test_compiled.cpp pin the two to
+// bit-identical InstrStats and memory contents.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +36,17 @@ namespace nsc::sim {
 struct VerifyReport;  // sim/verify.h
 
 // Drain budget for read-only pipelines: enough cycles for every FU latency
-// in the machine plus the register-file and shift/delay queue depths.  All
-// three execution engines (interpreter, compiled, SoA batch) share this so
-// the completion rule cannot drift between them.
+// in the machine plus the register-file and shift/delay queue depths.  The
+// engine and the reference interpreter share this so the completion rule
+// cannot drift between them.
 inline std::uint64_t drainBudget(const arch::MachineConfig& cfg) {
   return 64 + static_cast<std::uint64_t>(cfg.rf_max_delay) +
          static_cast<std::uint64_t>(cfg.sd_max_delay);
 }
 
 // ---------------------------------------------------------------------------
-// Decoded per-instruction plans (the interpreter's view of one microword).
+// Decoded per-instruction plans (the reference interpreter's view of one
+// microword; the engine reads the sequencer fields).
 // ---------------------------------------------------------------------------
 
 struct FuPlan {
@@ -155,8 +156,9 @@ struct CompiledSd {
   std::vector<CompiledSdTap> taps;
 };
 
-// A fault proven at compile time: the instruction refuses to issue and both
-// engines report it as this typed fault instead of executing.
+// A fault proven at compile time: the instruction refuses to issue and the
+// engine reports it as this typed fault instead of executing (the reference
+// interpreter finds the same fault at engine setup).
 struct InstrFault {
   FaultKind kind = FaultKind::kNone;
   arch::Endpoint endpoint{};   // offending endpoint (e.g. the DMA plane)
@@ -182,13 +184,13 @@ struct CompiledInstr {
   std::int32_t cond_src = -1;  // src_out index watched by the latch
   std::int32_t cond_reg = 0;
   std::uint32_t ring_slots = 0;  // total token-arena size for this instr
-  // Proven-safe steady-state block for executeCompiled, derived by the
-  // verifier (sim/verify.h); stays at the conservative 64 when unproven.
+  // Proven-safe steady-state block for the engine, derived by the verifier
+  // (sim/verify.h); stays at the conservative 64 when unproven.
   std::uint32_t steady_window = 64;
 };
 
 // An immutable, shareable compiled program: decoded plans (sequencer +
-// legacy interpreter) and lowered instructions, index-parallel.
+// reference interpreter) and lowered instructions, index-parallel.
 class CompiledProgram {
  public:
   // Decodes and lowers every microword of `exe` against `machine`.  The

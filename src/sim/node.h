@@ -15,12 +15,12 @@
 //     sequencer (next/jump/branch/loop/halt).
 //
 // Programs load as an immutable sim::CompiledProgram (decode + lowering run
-// once; SPMD systems share one image across all nodes).  Two engines
-// execute it: the compiled engine (default) steps pre-resolved instruction
-// images in blocked fill/steady/drain form; the legacy interpreter
-// (NodeOptions::use_compiled = false) re-walks the decoded plans per cycle
-// and is kept as the semantic reference — both produce bit-identical
-// InstrStats and memory contents (test_compiled.cpp golden tests).
+// once; SPMD systems share one image across all nodes).  There is one
+// execution engine, the SoA ReplicaBatch (sim/batch.h): a NodeSim is a
+// width-1 batch behind a checked, single-node interface.  The per-cycle
+// plan interpreter is the test-only reference (tests/reference) the golden
+// tests in test_compiled.cpp compare against: identical InstrStats, trace
+// frames, and memory contents.
 //
 // Determinism: the simulator is single-threaded and fully deterministic;
 // all state is reset per instruction except memory planes, caches,
@@ -28,51 +28,26 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "arch/machine.h"
 #include "microcode/generator.h"
+#include "sim/batch.h"
 #include "sim/compiled.h"
 #include "sim/stats.h"
-#include "sim/token.h"
 
 namespace nsc::sim {
-
-// One cycle of observable dataflow, for the visual debugger (paper,
-// Section 6: "each new instruction would display the corresponding pipeline
-// diagram, annotated to show data values flowing through the pipeline").
-struct TraceFrame {
-  int instruction = 0;
-  std::uint64_t cycle = 0;
-  // Token per switch source endpoint, indexed like Machine::sources().
-  std::vector<Token> source_tokens;
-};
-using TraceSink = std::function<void(const TraceFrame&)>;
-
-struct NodeOptions {
-  std::uint64_t max_cycles_per_instruction = 64ull * 1024 * 1024;
-  std::uint64_t max_instructions = 1ull << 20;
-  // false selects the legacy per-cycle interpreter (semantic reference for
-  // the compiled engine; same results, slower).
-  bool use_compiled = true;
-  // Nonzero pins the compiled engine's steady-state block length, ignoring
-  // the per-instruction verifier-proven window (bench/testing knob; 64
-  // reproduces the legacy fixed block exactly).
-  std::uint64_t steady_block_override = 0;
-};
 
 class NodeSim {
  public:
   using Options = NodeOptions;
+  using Snapshot = NodeSnapshot;
 
   explicit NodeSim(const arch::Machine& machine, Options options = {});
 
-  const arch::Machine& machine() const { return machine_; }
+  const arch::Machine& machine() const { return batch_.machine(); }
 
   // Compiles microcode + register-file images, loads the result, and
   // resets the sequencer.  For many nodes running the same executable,
@@ -81,127 +56,88 @@ class NodeSim {
 
   // Loads an already-compiled program (shared, immutable).  All SPMD nodes
   // of a system load the same image; nothing is copied per node.
-  void load(std::shared_ptr<const CompiledProgram> program);
+  void load(std::shared_ptr<const CompiledProgram> program) {
+    batch_.load(std::move(program));
+  }
 
   const std::shared_ptr<const CompiledProgram>& program() const {
-    return program_;
+    return batch_.program();
   }
 
   // ---- Memory access (host/loader side) ----
+  // Plane and cache ids are checked: an id outside the machine config
+  // throws std::out_of_range.
   void writePlane(arch::PlaneId plane, std::uint64_t base,
-                  std::span<const double> values);
+                  std::span<const double> values) {
+    batch_.writePlane(0, plane, base, values);
+  }
   std::vector<double> readPlane(arch::PlaneId plane, std::uint64_t base,
-                                std::uint64_t count) const;
+                                std::uint64_t count) const {
+    return batch_.readPlane(0, plane, base, count);
+  }
   // Copy-free variant: fills `out` (out.size() words starting at `base`),
   // zero-filling words beyond the simulated backing store.
   void readPlaneInto(arch::PlaneId plane, std::uint64_t base,
-                     std::span<double> out) const;
+                     std::span<double> out) const {
+    batch_.readPlaneInto(0, plane, base, out);
+  }
   double readPlaneWord(arch::PlaneId plane, std::uint64_t addr) const;
-  void fillPlane(arch::PlaneId plane, double value);
 
   void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
-                  std::span<const double> values);
+                  std::span<const double> values) {
+    batch_.writeCache(0, cache, buffer, base, values);
+  }
   std::vector<double> readCache(arch::CacheId cache, int buffer,
-                                std::uint64_t base, std::uint64_t count) const;
+                                std::uint64_t base, std::uint64_t count) const {
+    return batch_.readCache(0, cache, buffer, base, count);
+  }
   void readCacheInto(arch::CacheId cache, int buffer, std::uint64_t base,
-                     std::span<double> out) const;
+                     std::span<double> out) const {
+    batch_.readCacheInto(0, cache, buffer, base, out);
+  }
 
-  bool cond(int reg) const { return cond_regs_.at(static_cast<std::size_t>(reg)); }
-  int pc() const { return pc_; }
-  bool halted() const { return halted_; }
-
-  // Executes the instruction at pc and advances control flow.  Returns the
-  // stats for that instruction (error flag set on timeout/bad microcode).
-  InstrStats stepInstruction();
+  bool cond(int reg) const { return batch_.cond(0, reg); }
+  int pc() const { return batch_.pc(); }
+  bool halted() const { return batch_.halted(); }
 
   // Runs from the current pc until halt, error, or the instruction budget.
-  RunStats run();
+  RunStats run() { return std::move(batch_.run().runs[0]); }
 
   // Re-arms the sequencer at instruction 0 without touching memory.
-  void restart();
+  void restart() { batch_.restart(); }
 
   // ---- Durable-state hand-off (service durability layer) ----
-  //
-  // Everything that survives between instructions and is observable by a
-  // later request: plane/cache memory images, condition registers, and the
-  // sequencer position.  The loaded program is deliberately absent — it is
-  // immutable, shared, and re-resolved through the compiled-program cache
-  // by the next load(); loop counters are re-armed by load() as well.
-  struct Snapshot {
-    std::vector<std::vector<double>> planes;                // [plane][word]
-    std::vector<std::vector<std::vector<double>>> caches;   // [cache][buf][w]
-    std::vector<bool> cond_regs;
-    int pc = 0;
-    bool halted = false;
-  };
-  Snapshot snapshot() const;
+  Snapshot snapshot() const { return batch_.snapshot(0); }
   // Restores a snapshot taken from a node on the same machine config.  The
   // node afterwards has no loaded program (callers load before running,
   // exactly as the service request paths always do); memory reads and a
   // subsequent load+run behave bit-identically to the snapshotted node.
-  void restoreSnapshot(Snapshot snapshot);
+  void restoreSnapshot(Snapshot snapshot) {
+    batch_.restoreSnapshot(std::move(snapshot));
+  }
 
-  void setTraceSink(TraceSink sink) { trace_ = std::move(sink); }
+  void setTraceSink(TraceSink sink) { batch_.setTraceSink(std::move(sink)); }
 
  private:
-  // The SoA ensemble engine (sim/batch.h) extracts diverged lanes into
-  // private NodeSims mid-run — an exact de-interleaved state hand-off.
-  friend class ReplicaBatch;
+  ReplicaBatch batch_;
+};
 
-  // Legacy per-cycle interpreter (semantic reference).
-  InstrStats execute(const InstrPlan& plan, int instr_index,
-                     const std::string& name);
-  // Compiled engine: blocked fill/steady/drain over a lowered instruction
-  // (defined in compiled_exec.cpp).
-  InstrStats executeCompiled(const CompiledInstr& ci, int instr_index,
-                             const std::string& name);
-  void applySequencer(const InstrPlan& plan);
-  // Grows a plane's simulated backing store to cover `needed` words
-  // (geometric growth, capped at MachineConfig::sim_plane_words).
-  void ensurePlaneSize(arch::PlaneId plane, std::uint64_t needed);
+// Adapter: a NodeSim as a ReplicaStore (problem loaders and ensemble-style
+// init callbacks seed a lone node through it).
+class NodeReplicaStore final : public ReplicaStore {
+ public:
+  explicit NodeReplicaStore(NodeSim& node) : node_(node) {}
+  void writePlane(arch::PlaneId plane, std::uint64_t base,
+                  std::span<const double> values) override {
+    node_.writePlane(plane, base, values);
+  }
+  void writeCache(arch::CacheId cache, int buffer, std::uint64_t base,
+                  std::span<const double> values) override {
+    node_.writeCache(cache, buffer, base, values);
+  }
 
-  const arch::Machine& machine_;
-  Options options_;
-
-  // Loaded program (shared, immutable; may be aliased by other nodes).
-  std::shared_ptr<const CompiledProgram> program_;
-
-  // Persistent machine state.
-  std::vector<std::vector<double>> planes_;
-  std::vector<std::vector<std::vector<double>>> caches_;  // [cache][buffer]
-  std::vector<bool> cond_regs_;
-  std::vector<std::optional<int>> loop_counters_;  // per instruction slot
-  int pc_ = 0;
-  bool halted_ = false;
-
-  // Run accounting.
-  std::vector<std::uint64_t> fu_launches_;
-
-  // Reusable per-instruction execution state for the compiled engine; the
-  // capacity survives across instructions so steady-state stepping never
-  // allocates.
-  struct Scratch {
-    std::vector<Token> src_out;  // per switch source, this cycle
-    std::vector<Token> dst_in;   // per switch destination (registered)
-    std::vector<Token> arena;    // all FU pipe/queue + SD history rings
-    struct FuRun {
-      std::uint32_t pipe_pos = 0;
-      std::uint32_t rfq_pos = 0;
-      double acc = 0.0;
-    };
-    std::vector<FuRun> fu;
-    struct DmaRun {
-      std::uint64_t element = 0;
-      std::uint64_t row = 0;
-      std::uint64_t in_row = 0;
-    };
-    std::vector<DmaRun> reads;
-    std::vector<DmaRun> writes;
-    std::vector<std::uint32_t> sd_pos;
-  };
-  Scratch scratch_;
-
-  TraceSink trace_;
+ private:
+  NodeSim& node_;
 };
 
 }  // namespace nsc::sim

@@ -19,12 +19,12 @@
 //     (the stringly ci.dma_error became the typed CompiledInstr::fault);
 //   * write engines whose windows provably under-deliver, and condition
 //     latches armed on streams that never end, are reported as errors —
-//     each error *proves* the runtime fault kind (FaultKind) the
-//     interpreter would hit, which test_property.cpp enforces;
+//     each error *proves* the runtime fault kind (FaultKind) the engine
+//     and the reference interpreter hit, which test_property.cpp enforces;
 //   * per instruction, a proven-safe steady-state window: the static
 //     distance to the next completion/latch/fault horizon.  Verified
-//     instructions let executeCompiled run blocks larger than the legacy
-//     fixed 64; anything unproven falls back to 64.  Block length never
+//     instructions let the engine (sim/batch.h) run blocks larger than the
+//     legacy fixed 64; anything unproven falls back to 64.  Block length never
 //     affects results (blocks are lower bounds on completion distance),
 //     so adaptive and fixed execution stay bit-identical.
 //
@@ -109,7 +109,7 @@ struct VerifyDiagnostic {
 // Per-instruction verdict, index-parallel with CompiledProgram::instrs.
 struct InstrVerify {
   bool clean = true;  // no error-severity diagnostics on this instruction
-  // Proven-safe steady-state block length for executeCompiled (the static
+  // Proven-safe steady-state block length for the engine (the static
   // distance to the completion/latch/fault horizon, clamped to
   // [kFallbackSteadyBlock, kMaxSteadyBlock]); kFallbackSteadyBlock when
   // nothing stronger is proven.

@@ -1,11 +1,11 @@
-// Golden cycle-exactness tests for the compiled execution engine.
+// Golden cycle-exactness tests for the execution engine.
 //
-// The compiled engine (sim/compiled_exec.cpp) must be indistinguishable
-// from the legacy per-cycle interpreter (NodeSim::execute): identical
-// per-instruction cycles/flops/hazards, identical fu_launches, identical
-// memory-plane and cache contents, identical trace frames, identical error
-// behavior.  These tests run the same executables through both engines —
-// NodeOptions::use_compiled selects the engine — and compare everything
+// The engine (sim/batch.h; a NodeSim is a width-1 batch) must be
+// indistinguishable from the legacy per-cycle interpreter, kept as the
+// test-only sim::ReferenceNode (tests/reference): identical per-instruction
+// cycles/flops/hazards, identical fu_launches, identical memory-plane and
+// cache contents, identical trace frames, identical error behavior.  These
+// tests run the same executables through both and compare everything
 // observable, on the paper's Figure-11 Jacobi workload and on targeted
 // corner cases (condition latch, accumulator drain, timeout, DMA faults).
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "sim/hypercube.h"
 #include "sim/node.h"
 #include "sim/verify.h"
+#include "reference/reference_node.h"
 #include "test_helpers.h"
 
 namespace nsc {
@@ -34,11 +35,14 @@ using arch::Endpoint;
 using arch::Machine;
 using arch::OpCode;
 using sim::NodeSim;
+using sim::ReferenceNode;
 
-sim::NodeSim::Options legacyOptions() {
-  sim::NodeSim::Options options;
-  options.use_compiled = false;
-  return options;
+// JacobiProgram::residual, read from the reference node.
+double referenceResidual(const cfd::JacobiProgram& jacobi,
+                         const ReferenceNode& node) {
+  return jacobi.layout().res_plane >= 0
+             ? node.readPlaneWord(jacobi.layout().res_plane, 0)
+             : -1.0;
 }
 
 // Asserts that two runs match in every stat the simulator reports.
@@ -69,7 +73,7 @@ void expectIdenticalRuns(const sim::RunStats& legacy,
   }
 }
 
-void expectIdenticalMemory(const Machine& machine, const NodeSim& legacy,
+void expectIdenticalMemory(const Machine& machine, const ReferenceNode& legacy,
                            const NodeSim& compiled, std::uint64_t plane_words) {
   const arch::MachineConfig& cfg = machine.config();
   for (arch::PlaneId p = 0; p < cfg.num_memory_planes; ++p) {
@@ -105,7 +109,7 @@ void runJacobiGolden(cfd::JacobiBuildOptions options) {
   const mc::GenerateResult gen = generator.generate(jacobi.program());
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  NodeSim legacy(machine, legacyOptions());
+  ReferenceNode legacy(machine);
   NodeSim compiled(machine);
   legacy.load(gen.exe);
   compiled.load(gen.exe);
@@ -121,7 +125,7 @@ void runJacobiGolden(cfd::JacobiBuildOptions options) {
       static_cast<std::uint64_t>(options.grid.N()) +
       2 * static_cast<std::uint64_t>(jacobi.layout().pad);
   expectIdenticalMemory(machine, legacy, compiled, words);
-  EXPECT_EQ(jacobi.residual(legacy), jacobi.residual(compiled));
+  EXPECT_EQ(referenceResidual(jacobi, legacy), jacobi.residual(compiled));
   EXPECT_EQ(legacy.pc(), compiled.pc());
   EXPECT_EQ(legacy.halted(), compiled.halted());
   for (int reg = 0; reg < 4; ++reg) {
@@ -179,7 +183,7 @@ TEST(CompiledGolden, ReadOnlyDrainWithAccumulatorAndLatch) {
   const mc::GenerateResult gen = generator.generate(p);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  NodeSim legacy(machine, legacyOptions());
+  ReferenceNode legacy(machine);
   NodeSim compiled(machine);
   legacy.load(gen.exe);
   compiled.load(gen.exe);
@@ -223,10 +227,7 @@ TEST(CompiledGolden, TraceFramesMatch) {
   const mc::GenerateResult gen = generator.generate(p);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  const auto runTraced = [&](bool use_compiled) {
-    sim::NodeSim::Options options;
-    options.use_compiled = use_compiled;
-    NodeSim node(machine, options);
+  const auto runTraced = [&](auto& node) {
     node.load(gen.exe);
     node.writePlane(0, 0, test::iota(n, 1.0, 0.5));
     node.writePlane(1, 0, test::iota(n, -2.0, 0.125));
@@ -238,8 +239,10 @@ TEST(CompiledGolden, TraceFramesMatch) {
     return frames;
   };
 
-  const std::vector<sim::TraceFrame> legacy = runTraced(false);
-  const std::vector<sim::TraceFrame> compiled = runTraced(true);
+  ReferenceNode legacy_node(machine);
+  NodeSim compiled_node(machine);
+  const std::vector<sim::TraceFrame> legacy = runTraced(legacy_node);
+  const std::vector<sim::TraceFrame> compiled = runTraced(compiled_node);
   ASSERT_EQ(legacy.size(), compiled.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i].instruction, compiled[i].instruction) << "frame " << i;
@@ -276,7 +279,7 @@ TEST(CompiledGolden, DmaCapacityFaultMatches) {
   const mc::GenerateResult gen = generator.generate(p);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  NodeSim legacy(machine, legacyOptions());
+  ReferenceNode legacy(machine);
   NodeSim compiled(machine);
   legacy.load(gen.exe);
   compiled.load(gen.exe);
@@ -311,12 +314,10 @@ TEST(CompiledGolden, TimeoutMatches) {
   const mc::GenerateResult gen = generator.generate(p, gen_options);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  sim::NodeSim::Options legacy_options = legacyOptions();
-  legacy_options.max_cycles_per_instruction = 500;
-  sim::NodeSim::Options compiled_options;
-  compiled_options.max_cycles_per_instruction = 500;
-  NodeSim legacy(machine, legacy_options);
-  NodeSim compiled(machine, compiled_options);
+  sim::NodeSim::Options options;
+  options.max_cycles_per_instruction = 500;
+  ReferenceNode legacy(machine, options);
+  NodeSim compiled(machine, options);
   legacy.load(gen.exe);
   compiled.load(gen.exe);
   const sim::RunStats legacy_run = legacy.run();
@@ -329,9 +330,8 @@ TEST(CompiledGolden, TimeoutMatches) {
 // Adaptive steady-state blocks: a verified program runs with the
 // per-instruction proven window (larger than the legacy fixed 64 on the
 // Figure-11 sweep), and the choice of block length is unobservable — the
-// interpreter, the compiled engine pinned to 64-cycle blocks, and the
-// compiled engine with adaptive blocks agree on every stat, every memory
-// word, and every trace entry.
+// interpreter and the engine with adaptive blocks agree on every stat,
+// every memory word, and every trace entry.
 TEST(CompiledGolden, AdaptiveSteadyBlocksBitIdenticalToFixed64) {
   const Machine machine;
   cfd::JacobiBuildOptions options;
@@ -357,28 +357,21 @@ TEST(CompiledGolden, AdaptiveSteadyBlocksBitIdenticalToFixed64) {
   for (const auto& ci : program->instrs) widest = std::max(widest, ci.steady_window);
   EXPECT_GT(widest, sim::kFallbackSteadyBlock);
 
-  sim::NodeSim::Options fixed64;
-  fixed64.steady_block_override = 64;
-  NodeSim legacy(machine, legacyOptions());
-  NodeSim pinned(machine, fixed64);
+  ReferenceNode legacy(machine);
   NodeSim adaptive(machine);
-  for (NodeSim* node : {&legacy, &pinned, &adaptive}) {
-    node->load(gen.exe);
-    jacobi.load(*node, problem);
-  }
+  legacy.load(gen.exe);
+  jacobi.load(legacy, problem);
+  adaptive.load(gen.exe);
+  jacobi.load(adaptive, problem);
   const sim::RunStats legacy_run = legacy.run();
-  const sim::RunStats pinned_run = pinned.run();
   const sim::RunStats adaptive_run = adaptive.run();
   ASSERT_FALSE(legacy_run.error) << legacy_run.error_message;
 
-  expectIdenticalRuns(legacy_run, pinned_run);
   expectIdenticalRuns(legacy_run, adaptive_run);
   const std::uint64_t words =
       static_cast<std::uint64_t>(options.grid.N()) +
       2 * static_cast<std::uint64_t>(jacobi.layout().pad);
   expectIdenticalMemory(machine, legacy, adaptive, words);
-  expectIdenticalMemory(machine, pinned, adaptive, words);
-  EXPECT_EQ(jacobi.residual(pinned), jacobi.residual(adaptive));
 }
 
 // SPMD sharing: loadAll compiles once and every node aliases the same
@@ -395,15 +388,14 @@ TEST(CompiledProgram, SharedAcrossHypercubeNodes) {
   const mc::GenerateResult gen = generator.generate(jacobi.program());
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  // Scalar mode: the pointer-sharing witness inspects per-node NodeSims,
-  // which only exist off the batched path.
+  // Width-1 groups: every node holds its own program pointer.
   sim::HypercubeSystem system(machine, 3, {.node_lanes = 1});
   system.loadAll(gen.exe);
-  const auto& image = system.node(0).program();
+  const auto& image = system.program(0);
   ASSERT_NE(image, nullptr);
   EXPECT_EQ(image->fingerprint, gen.exe.fingerprint());
   for (int n = 1; n < system.numNodes(); ++n) {
-    EXPECT_EQ(system.node(n).program().get(), image.get())
+    EXPECT_EQ(system.program(n).get(), image.get())
         << "node " << n << " holds a private program copy";
   }
 
@@ -421,12 +413,12 @@ TEST(CompiledProgram, SharedAcrossHypercubeNodes) {
 // ---------------------------------------------------------------------------
 // Batched SoA engine goldens (sim/batch.h): a ReplicaBatch must be
 // indistinguishable, lane by lane, from the same replicas run one at a time
-// on the scalar engine — every RunStats field, every trace entry, every
-// plane word, every cache buffer.
+// on the reference interpreter — every RunStats field, every trace entry,
+// every plane word, every cache buffer.
 // ---------------------------------------------------------------------------
 
 // Runs `gen` through a ReplicaBatch of `lanes` lanes and through `lanes`
-// independent scalar NodeSims, seeding lane w on both paths through the
+// independent reference nodes, seeding lane w on both paths through the
 // same ReplicaStore callback, then pins everything observable identical.
 void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
                     int lanes, std::uint64_t plane_words,
@@ -437,13 +429,12 @@ void runBatchGolden(const Machine& machine, const mc::GenerateResult& gen,
   ASSERT_NE(program, nullptr);
   sim::ReplicaBatch batch(machine, lanes, options);
   batch.load(program);
-  std::vector<std::unique_ptr<NodeSim>> scalars;
+  std::vector<std::unique_ptr<ReferenceNode>> scalars;
   for (int w = 0; w < lanes; ++w) {
-    auto node = std::make_unique<NodeSim>(machine, options);
+    auto node = std::make_unique<ReferenceNode>(machine, options);
     node->load(program);
     if (seed) {
-      sim::NodeReplicaStore node_store(*node);
-      seed(w, node_store);
+      seed(w, *node);
       sim::ReplicaBatch::LaneStore lane_store(batch, w);
       seed(w, lane_store);
     }
@@ -654,8 +645,8 @@ TEST(BatchedGolden, DivergenceOneLaneFaultsRestCompleteClean) {
   options.max_cycles_per_instruction = 500;
   sim::BatchRunResult result;
   runBatchGolden(machine, gen, 8, n, seed, options, &result);
-  // Exactly the diverged lane drained on the scalar engine, faulted; the
-  // lockstep majority completed clean inside the batch.
+  // Exactly the diverged lane drained in a width-1 continuation, faulted;
+  // the lockstep majority completed clean inside the batch.
   EXPECT_EQ(result.drained_scalar, 1);
   for (int w = 0; w < 8; ++w) {
     const sim::RunStats& run = result.runs[static_cast<std::size_t>(w)];
@@ -698,7 +689,7 @@ TEST(BatchedGolden, DivergenceCleanSplitBothPathsIdentical) {
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
   // Lanes 1, 5, and 9 branch (13-lane batch, so the 10-lane fall-through
-  // group is kept and three lanes retire to the scalar engine).
+  // group is kept and three lanes retire to width-1 continuations).
   const auto seed = [n](int w, sim::ReplicaStore& store) {
     std::vector<double> x = test::iota(n, 0.001 * (w + 1), 0.0001);
     if (w % 4 == 1) x[0] = 0.75;
@@ -740,6 +731,56 @@ TEST(BatchedGolden, DmaCapacityFaultAllLanes) {
   for (const sim::RunStats& run : result.runs) {
     EXPECT_TRUE(run.error);
     EXPECT_EQ(run.fault, sim::FaultKind::kDmaBounds);
+  }
+}
+
+// Instruction-budget exhaustion: an unconditional kJump loop never halts,
+// and an empty program (nothing loaded that can issue) spins on empty
+// instructions; both end with the budget exhausted.  A lone node, every
+// lane of a 4-lane batch, and the reference interpreter report the same
+// RunStats, trace included.
+TEST(CompiledGolden, InstructionBudgetExhaustionMatches) {
+  const Machine machine;
+  prog::Program p;
+  prog::PipelineDiagram& d = p.append("spin");
+  d.connect(machine, Endpoint::planeRead(0), Endpoint::planeWrite(1));
+  for (const Endpoint e : {Endpoint::planeRead(0), Endpoint::planeWrite(1)}) {
+    prog::DmaSpec& dma = d.dmaAt(e);
+    dma.base = 0;
+    dma.stride = 1;
+    dma.count = 8;
+  }
+  d.seq.op = arch::SeqOp::kJump;
+  d.seq.target = 0;
+  mc::Generator generator(machine);
+  const mc::GenerateResult gen = generator.generate(p);
+  ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
+  const auto looping = sim::CompiledProgram::compile(machine, gen.exe);
+  const auto empty = sim::CompiledProgram::compile(machine, mc::Executable{});
+  ASSERT_EQ(empty->size(), 0u);
+
+  sim::NodeSim::Options options;
+  options.max_instructions = 40;
+  for (const auto& program : {looping, empty}) {
+    SCOPED_TRACE(program->size() == 0 ? "empty program" : "kJump loop");
+    ReferenceNode reference(machine, options);
+    reference.load(program);
+    const sim::RunStats want = reference.run();
+    EXPECT_TRUE(want.error);
+    EXPECT_EQ(want.error_message, "instruction budget exhausted");
+    EXPECT_EQ(want.instructions_executed, options.max_instructions);
+    EXPECT_FALSE(want.halted);
+
+    NodeSim node(machine, options);
+    node.load(program);
+    expectIdenticalRuns(want, node.run());
+
+    sim::ReplicaBatch batch(machine, 4, options);
+    batch.load(program);
+    const sim::BatchRunResult result = batch.run();
+    ASSERT_EQ(result.runs.size(), 4u);
+    for (const sim::RunStats& lane : result.runs) expectIdenticalRuns(want, lane);
+    EXPECT_EQ(result.drained_scalar, 0);
   }
 }
 

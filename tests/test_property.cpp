@@ -5,7 +5,8 @@
 //   4. incremental/thorough checker consistency: whatever the editor
 //      accepts connection-by-connection, the global pass accepts too;
 //   5. verifier soundness: randomly mutated microcode either verifies clean
-//      and executes fault-free on both engines, or the verifier's fault
+//      and executes fault-free on the engine and the reference
+//      interpreter, or the verifier's fault
 //      prediction matches the runtime fault — no false-clean verdicts.
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "sim/hypercube.h"
 #include "sim/node.h"
 #include "sim/verify.h"
+#include "reference/reference_node.h"
 #include "test_helpers.h"
 
 namespace nsc {
@@ -352,18 +354,16 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
   ASSERT_NE(program->verify, nullptr);
   const sim::VerifyReport& report = *program->verify;
 
-  const auto execute = [&](bool use_compiled) {
-    sim::NodeSim::Options options;
-    options.use_compiled = use_compiled;
-    options.max_cycles_per_instruction = 2000;
-    sim::NodeSim node(machine, options);
+  sim::NodeSim::Options options;
+  options.max_cycles_per_instruction = 2000;
+  const auto execute = [&](auto&& node) {
     node.load(program);
     node.writePlane(0, 0, test::iota(n, 1.0, 0.5));
     node.writePlane(1, 0, test::iota(n, -2.0, 0.25));
     return node.run();
   };
-  const sim::RunStats legacy = execute(false);
-  const sim::RunStats compiled = execute(true);
+  const sim::RunStats legacy = execute(sim::ReferenceNode(machine, options));
+  const sim::RunStats compiled = execute(sim::NodeSim(machine, options));
 
   // The engines agree on the fault verdict no matter what the bits say.
   EXPECT_EQ(legacy.error, compiled.error) << report.format();
@@ -371,7 +371,7 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
 
   // The batched SoA engine reaches the same verdict in every lane: no
   // mutation may execute false-clean (or fault differently) just because
-  // the replica rode a ReplicaBatch instead of a scalar NodeSim.
+  // the replica rode a multi-lane ReplicaBatch instead of a lone node.
   sim::NodeSim::Options batch_options;
   batch_options.max_cycles_per_instruction = 2000;
   sim::ReplicaBatch batch(machine, 4, batch_options);
@@ -387,10 +387,10 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
     EXPECT_EQ(compiled.error_message, lane.error_message) << report.format();
   }
 
-  // And the SPMD axis: the same mutation replayed through a W=4 NodeBatch
+  // And the SPMD axis: the same mutation replayed through a W=4 lane group
   // phase (a d=2 hypercube whose four nodes ride one SoA group) must agree
-  // with a scalar system on the error verdict, message, and per-node stats
-  // — across a restartAll phase boundary.
+  // with a node_lanes = 1 system on the error verdict, message, and
+  // per-node stats — across a restartAll phase boundary.
   const auto runSystem = [&](int lanes) {
     sim::HypercubeSystem system(machine, 2,
                                 {.node = batch_options, .node_lanes = lanes});

@@ -652,6 +652,50 @@ TEST(ServiceTest, BadRequestParametersSurfaceAsStatusErrors) {
   EXPECT_FALSE(system.status.isOk());
 }
 
+// Out-of-range memory ids from a request are checked errors, never an
+// out-of-bounds access inside a shard: plane 999 as an input and as a
+// read-back each come back as a reject naming the plane, and the next
+// request on the same service is served normally.  No request type carries
+// a cache id, so the cache check is pinned on the node facade the shards
+// use.
+TEST(ServiceTest, OutOfRangeMemoryIdsRejectAndServiceKeepsServing) {
+  WorkbenchService service(ServiceOptions{});
+  GenerateAndRun good;
+  good.script = tripleScript(3.0);
+  good.inputs = {PlaneImage{0, 0, std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8}}};
+  good.outputs = {PlaneRange{1, 0, 8}};
+  const Reference want = referenceFor(good);
+
+  GenerateAndRun bad_input = good;
+  bad_input.inputs.push_back(PlaneImage{999, 0, std::vector<double>{1.0}});
+  GenerateAndRun bad_output = good;
+  bad_output.outputs.push_back(PlaneRange{999, 0, 8});
+  for (const GenerateAndRun& bad : {bad_input, bad_output}) {
+    const ServiceReply reply = service.submit(bad).get();
+    EXPECT_TRUE(reply.rejected());
+    EXPECT_FALSE(reply.ok());
+    EXPECT_NE(reply.status.message().find("plane 999 out of range"),
+              std::string::npos)
+        << reply.status.message();
+
+    const ServiceReply served = service.submit(good).get();
+    ASSERT_TRUE(served.ok()) << served.status.message();
+    EXPECT_EQ(served.outputs, want.outputs);
+  }
+
+  WorkbenchContext context;
+  WorkbenchCore core(context);
+  const std::vector<double> words{1.0, 2.0};
+  EXPECT_THROW(core.node().writeCache(99, 0, 0, words), std::out_of_range);
+  EXPECT_THROW(core.node().readCache(99, 0, 0, 2), std::out_of_range);
+  EXPECT_THROW(core.node().writeCache(0, 2, 0, words), std::out_of_range);
+  EXPECT_THROW(core.node().writePlane(999, 0, words), std::out_of_range);
+  core.runSession(tripleScript(3.0));
+  core.node().writePlane(0, 0, good.inputs[0].values);
+  ASSERT_TRUE(core.generateAndRun().ok());
+  EXPECT_EQ(core.node().readPlane(1, 0, 8), want.outputs[0]);
+}
+
 // ---------------------------------------------------------------------------
 // Static-verification admission gate
 // ---------------------------------------------------------------------------

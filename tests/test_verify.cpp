@@ -5,8 +5,8 @@
 //   * every golden program verifies clean, and the Figure-11 sweep proves a
 //     steady-state window wider than the legacy fixed 64-cycle block;
 //   * each fault-proving error (kDmaBounds / kStarvedWrite / kUnderfedWrite
-//     / kStarvedCond) predicts exactly the FaultKind both engines report at
-//     runtime — no false alarms, no missed faults (test_property.cpp sweeps
+//     / kStarvedCond) predicts exactly the FaultKind the engine and the
+//     reference interpreter report at runtime — no false alarms, no missed faults (test_property.cpp sweeps
 //     the same contract over randomly mutated microcode);
 //   * ring over-subscription is an error of the hardware-infeasible class:
 //     rejected statically, yet simulated deterministically (predicted fault
@@ -25,6 +25,7 @@
 #include "sim/compiled.h"
 #include "sim/node.h"
 #include "sim/verify.h"
+#include "reference/reference_node.h"
 #include "test_helpers.h"
 
 namespace nsc {
@@ -35,6 +36,7 @@ using arch::Machine;
 using arch::OpCode;
 using sim::FaultKind;
 using sim::NodeSim;
+using sim::ReferenceNode;
 using sim::VerifyCode;
 
 std::shared_ptr<const sim::CompiledProgram> compileFor(
@@ -143,17 +145,17 @@ TEST(ProgramVerifier, OobDmaProvenAndMatchesEngineFault) {
   EXPECT_TRUE(diags.hasErrors());
   EXPECT_EQ(diags.errorCount(), report.errorCount());
 
-  // Both engines report the proven kind.
-  for (const bool use_compiled : {false, true}) {
-    sim::NodeSim::Options options;
-    options.use_compiled = use_compiled;
-    NodeSim node(machine, options);
+  // The engine and the reference interpreter both report the proven kind.
+  const auto expectFault = [&](auto& node, const char* which) {
     node.load(program);
     const sim::RunStats run = node.run();
     EXPECT_TRUE(run.error);
-    EXPECT_EQ(run.fault, FaultKind::kDmaBounds)
-        << (use_compiled ? "compiled" : "legacy");
-  }
+    EXPECT_EQ(run.fault, FaultKind::kDmaBounds) << which;
+  };
+  ReferenceNode legacy(machine);
+  NodeSim compiled(machine);
+  expectFault(legacy, "legacy");
+  expectFault(compiled, "compiled");
 }
 
 // A write engine programmed for more elements than its stream delivers:
@@ -194,17 +196,18 @@ TEST(ProgramVerifier, UnderfedWriteProvenAndTimesOut) {
   }
   EXPECT_TRUE(found);
 
-  for (const bool use_compiled : {false, true}) {
-    sim::NodeSim::Options options;
-    options.use_compiled = use_compiled;
-    options.max_cycles_per_instruction = 500;
-    NodeSim node(machine, options);
+  sim::NodeSim::Options options;
+  options.max_cycles_per_instruction = 500;
+  const auto expectTimeout = [&](auto& node, const char* which) {
     node.load(program);
     const sim::RunStats run = node.run();
     EXPECT_TRUE(run.error);
-    EXPECT_EQ(run.fault, FaultKind::kTimeout)
-        << (use_compiled ? "compiled" : "legacy");
-  }
+    EXPECT_EQ(run.fault, FaultKind::kTimeout) << which;
+  };
+  ReferenceNode legacy(machine, options);
+  NodeSim compiled(machine, options);
+  expectTimeout(legacy, "legacy");
+  expectTimeout(compiled, "compiled");
 }
 
 // A condition latch armed on a functional unit that never produces a value:
@@ -238,18 +241,19 @@ TEST(ProgramVerifier, StarvedCondProvenAndTimesOut) {
   EXPECT_TRUE(hasError(report, VerifyCode::kStarvedCond)) << report.format();
   EXPECT_EQ(provenFault(report), FaultKind::kTimeout);
 
-  for (const bool use_compiled : {false, true}) {
-    sim::NodeSim::Options options;
-    options.use_compiled = use_compiled;
-    options.max_cycles_per_instruction = 500;
-    NodeSim node(machine, options);
+  sim::NodeSim::Options options;
+  options.max_cycles_per_instruction = 500;
+  const auto expectTimeout = [&](auto& node, const char* which) {
     node.load(program);
     node.writePlane(0, 0, test::iota(n, 1.0, 1.0));
     const sim::RunStats run = node.run();
     EXPECT_TRUE(run.error);
-    EXPECT_EQ(run.fault, FaultKind::kTimeout)
-        << (use_compiled ? "compiled" : "legacy");
-  }
+    EXPECT_EQ(run.fault, FaultKind::kTimeout) << which;
+  };
+  ReferenceNode legacy(machine, options);
+  NodeSim compiled(machine, options);
+  expectTimeout(legacy, "legacy");
+  expectTimeout(compiled, "compiled");
 }
 
 // ---------------------------------------------------------------------------
