@@ -58,8 +58,8 @@ bool decodeWords(const std::string& hex, std::vector<double>& out) {
 }
 
 // True when every word is bit-pattern zero (+0.0; -0.0 and denormals count
-// as data).  Freshly-constructed cache buffers are all +0.0, so buffers
-// that still look fresh are omitted from the payload.
+// as data).  Untouched cache buffers read as all +0.0, so buffers that
+// still look untouched are omitted from the payload.
 bool allZeroBits(const std::vector<double>& words) {
   for (const double w : words) {
     std::uint64_t bits = 0;
@@ -126,8 +126,8 @@ common::Json WorkbenchCore::serializeState() const {
     planes.emplace_back(std::move(entry));
   }
   node["planes"] = common::Json(std::move(planes));
-  // Cache buffers are fixed-size and zero-filled at construction; only
-  // buffers holding data are stored.
+  // The snapshot shows every cache buffer at full size, untouched ones as
+  // zeros; all-zero buffers are left out.
   common::JsonArray caches;
   for (std::size_t c = 0; c < snap.caches.size(); ++c) {
     for (std::size_t b = 0; b < snap.caches[c].size(); ++b) {

@@ -29,9 +29,14 @@ void ReferenceNode::load(const mc::Executable& exe) {
 void ReferenceNode::load(std::shared_ptr<const CompiledProgram> program) {
   program_ = std::move(program);
   loop_counters_.assign(program_ ? program_->size() : 0, std::nullopt);
+  restart();
+}
+
+void ReferenceNode::restart() {
   pc_ = 0;
   halted_ = false;
   std::fill(cond_regs_.begin(), cond_regs_.end(), false);
+  std::fill(loop_counters_.begin(), loop_counters_.end(), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 // plain scalar state (eagerly allocated planes and caches, condition
 // registers, loop counters).  The golden, property, and verifier suites run
 // every program through both this node and the engine and require identical
-// InstrStats, fu_launches, trace frames, and memory contents.  Test-only:
+// InstrStats, fu_launches, trace frames, and memory contents; the hypercube
+// goldens drive one per node through multi-phase SPMD runs.  Test-only:
 // linked by the test suites and the engine A/B bench, never by the
 // libraries.
 #pragma once
@@ -50,6 +51,11 @@ class ReferenceNode final : public ReplicaStore {
   }
   int pc() const { return pc_; }
   bool halted() const { return halted_; }
+
+  // Re-arms the sequencer at instruction 0 without touching memory (pc,
+  // halt flag, condition registers, loop counters): the phase boundary of
+  // a multi-phase SPMD run.
+  void restart();
 
   // Runs from the current pc until halt, error, or the instruction budget.
   RunStats run();

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "arch/microword_spec.h"
 #include "microcode/generator.h"
+#include "reference/reference_node.h"
 #include "sim/hypercube.h"
 #include "test_helpers.h"
 
@@ -204,7 +207,7 @@ TEST(HypercubeTest, D7SystemPhaseStatsAreConsistentAt128Nodes) {
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
   // Single-node reference for the per-node numbers.
-  NodeSim reference(m);
+  ReferenceNode reference(m);
   reference.load(gen.exe);
   const RunStats ref = reference.run();
   ASSERT_FALSE(ref.error);
@@ -243,14 +246,14 @@ TEST(HypercubeTest, D7SystemPhaseStatsAreConsistentAt128Nodes) {
 TEST(HypercubeTest, D8SystemPhaseStatsAreConsistentAt256Nodes) {
   // PR 9 raises the exercised scale again: 256 SPMD nodes (d=8), stepped
   // as SoA lane groups by default.  Same consistency contract as the d=7
-  // test — every node's accumulated stats equal one scalar node times the
-  // phase count — plus the engine counters: with the default lane width
+  // test — every node's accumulated stats equal one reference node times
+  // the phase count — plus the engine counters: with the default lane width
   // every node-phase must have run batched.
   Machine m;
   const mc::GenerateResult gen = buildScaleProgram(m);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
 
-  NodeSim reference(m);
+  ReferenceNode reference(m);
   reference.load(gen.exe);
   const RunStats ref = reference.run();
   ASSERT_FALSE(ref.error);
@@ -331,6 +334,85 @@ mc::GenerateResult buildDivergentProgram(const Machine& m, int n) {
   return g.generate(p);
 }
 
+// The reference side of the SPMD goldens: one ReferenceNode (the legacy
+// interpreter, with its own scalar state) per hypercube node, driven through
+// the phase protocol HypercubeSystem documents — exchanges move plane words
+// node to node and charge the wormhole router model as max-over-destination,
+// restart re-arms every sequencer, and a run phase folds per-node stats in
+// node order (makespan = max node cycles, first error wins).
+class ReferenceSystem {
+ public:
+  ReferenceSystem(const Machine& m, int dimension) {
+    nodes_.reserve(std::size_t{1} << dimension);
+    for (int i = 0; i < (1 << dimension); ++i) nodes_.emplace_back(m);
+    exchange_cost_.assign(nodes_.size(), 0);
+  }
+  int numNodes() const { return static_cast<int>(nodes_.size()); }
+  void writePlane(int id, arch::PlaneId plane, std::uint64_t base,
+                  std::span<const double> values) {
+    node(id).writePlane(plane, base, values);
+  }
+  std::vector<double> readPlane(int id, arch::PlaneId plane,
+                                std::uint64_t base, std::uint64_t count) {
+    return node(id).readPlane(plane, base, count);
+  }
+
+  void loadAll(const mc::Executable& exe) {
+    for (ReferenceNode& n : nodes_) n.load(exe);
+  }
+  void restartAll() {
+    for (ReferenceNode& n : nodes_) n.restart();
+  }
+  void beginExchange() {
+    std::fill(exchange_cost_.begin(), exchange_cost_.end(), 0);
+  }
+  void sendVector(int src, arch::PlaneId src_plane, std::uint64_t src_base,
+                  std::uint64_t count, int dst, arch::PlaneId dst_plane,
+                  std::uint64_t dst_base) {
+    writePlane(dst, dst_plane, dst_base,
+               readPlane(src, src_plane, src_base, count));
+    if (src == dst) return;
+    const RouterOptions router;
+    exchange_cost_[static_cast<std::size_t>(dst)] +=
+        router.message_startup_cycles +
+        static_cast<std::uint64_t>(HypercubeSystem::hopCount(src, dst)) *
+            router.hop_latency_cycles +
+        static_cast<std::uint64_t>(static_cast<double>(count) /
+                                   router.words_per_cycle);
+  }
+  void endExchange(SystemStats& stats) const {
+    stats.comm_cycles +=
+        *std::max_element(exchange_cost_.begin(), exchange_cost_.end());
+  }
+  void runPhase(SystemStats& stats) {
+    stats.node_stats.resize(nodes_.size());
+    std::uint64_t max_cycles = 0;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const RunStats r = nodes_[i].run();
+      max_cycles = std::max(max_cycles, r.total_cycles);
+      stats.total_flops += r.total_flops;
+      RunStats& agg = stats.node_stats[i];
+      agg.total_cycles += r.total_cycles;
+      agg.total_flops += r.total_flops;
+      agg.total_hazards += r.total_hazards;
+      agg.instructions_executed += r.instructions_executed;
+      if (r.error && !stats.error) {
+        stats.error = true;
+        stats.error_message = r.error_message;
+      }
+    }
+    stats.compute_makespan_cycles += max_cycles;
+  }
+
+ private:
+  ReferenceNode& node(int id) {
+    return nodes_.at(static_cast<std::size_t>(id));
+  }
+
+  std::vector<ReferenceNode> nodes_;
+  std::vector<std::uint64_t> exchange_cost_;
+};
+
 void expectSystemStatsEqual(const SystemStats& want, const SystemStats& got) {
   EXPECT_EQ(want.compute_makespan_cycles, got.compute_makespan_cycles);
   EXPECT_EQ(want.comm_cycles, got.comm_cycles);
@@ -349,12 +431,12 @@ void expectSystemStatsEqual(const SystemStats& want, const SystemStats& got) {
   }
 }
 
-// The PR 9 tentpole contract: a batched system is observably the same
-// machine as a scalar one at every lane width and dimension — SystemStats,
-// per-node planes, and engine-visible memory bit-identical — including
-// mid-phase divergence (minority nodes retire into scalar continuations)
-// and per-lane exchange staging between phases.
-TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
+// The SPMD engine contract: a hypercube system is observably the same
+// machine as one reference interpreter per node at every lane width
+// (1 included) and dimension — SystemStats and per-node planes
+// bit-identical — including mid-phase divergence (minority nodes retire
+// into width-1 continuations) and per-lane exchange staging between phases.
+TEST(HypercubeTest, BatchedPhasesMatchReferenceAcrossLaneWidthsAndDimensions) {
   Machine m;
   const int n = 32;
   const mc::GenerateResult gen = buildDivergentProgram(m, n);
@@ -362,26 +444,27 @@ TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
 
   // Seeds: node id picks magnitude; every 4th node (id % 4 == 1) trips the
   // latch threshold and takes the "alt" branch.
-  const auto seed = [n](HypercubeSystem& sys, int node) {
+  const auto seedPlane = [n](int node) {
     std::vector<double> x(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       x[static_cast<std::size_t>(i)] = 0.001 * (node + 1) + 0.0001 * i;
     }
     if (node % 4 == 1) x[0] = 0.75;
-    sys.writePlane(node, 0, 0, x);
+    return x;
   };
   constexpr int kPhases = 2;
-  const auto runSystem = [&](int dimension, int lanes, SystemStats& stats,
-                             std::vector<std::vector<double>>& planes) {
-    HypercubeSystem sys(m, dimension, {.node_lanes = lanes});
-    EXPECT_EQ(sys.nodeLanes(), std::min(lanes, sys.numNodes()));
+  // Drives either side through the same phases.  Ring-shift exchange: each
+  // node ships its plane-1 copy window to the next node's plane 0 tail —
+  // per-lane staging on the engine (gather from SoA, route, scatter into
+  // SoA), plane read/write on the reference.
+  const auto drive = [&](auto& sys, SystemStats& stats,
+                         std::vector<std::vector<double>>& planes) {
     sys.loadAll(gen.exe);
-    for (int node = 0; node < sys.numNodes(); ++node) seed(sys, node);
+    for (int node = 0; node < sys.numNodes(); ++node) {
+      sys.writePlane(node, 0, 0, seedPlane(node));
+    }
     for (int phase = 0; phase < kPhases; ++phase) {
       if (phase > 0) {
-        // Ring-shift exchange: each node ships its plane-1 copy window to
-        // the next node's plane 0 tail — per-lane staging on the batched
-        // engine (gather from SoA, route, scatter into SoA).
         sys.beginExchange();
         for (int node = 0; node < sys.numNodes(); ++node) {
           sys.sendVector(node, 1, 0, 8, (node + 1) % sys.numNodes(), 0,
@@ -398,42 +481,49 @@ TEST(HypercubeTest, BatchedPhasesMatchScalarAcrossLaneWidthsAndDimensions) {
             sys.readPlane(node, plane, 0, static_cast<std::uint64_t>(n) + 8));
       }
     }
-    if (sys.nodeLanes() > 1) {
-      EXPECT_EQ(sys.nodesBatched() + sys.nodesScalar(),
-                static_cast<std::uint64_t>(kPhases) *
-                    static_cast<std::uint64_t>(sys.numNodes()));
-      // id % 4 == 1 nodes diverge from the rest of their group, so some
-      // nodes must have drained scalar — and the majority stayed batched.
-      EXPECT_GT(sys.nodesScalar(), 0u);
-      EXPECT_GT(sys.nodesBatched(), sys.nodesScalar());
-    }
   };
 
   for (const int dimension : {2, 4, 6, 8}) {
     SCOPED_TRACE("d=" + std::to_string(dimension));
     SystemStats want;
     std::vector<std::vector<double>> want_planes;
-    runSystem(dimension, 1, want, want_planes);
+    ReferenceSystem reference(m, dimension);
+    drive(reference, want, want_planes);
     ASSERT_FALSE(want.error) << want.error_message;
-    for (const int lanes : {4, 8, 16}) {
+    for (const int lanes : {1, 4, 8, 16}) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes));
+      HypercubeSystem sys(m, dimension, {.node_lanes = lanes});
+      EXPECT_EQ(sys.nodeLanes(), std::min(lanes, sys.numNodes()));
       SystemStats got;
       std::vector<std::vector<double>> got_planes;
-      runSystem(dimension, lanes, got, got_planes);
+      drive(sys, got, got_planes);
       expectSystemStatsEqual(want, got);
       ASSERT_EQ(want_planes.size(), got_planes.size());
       for (std::size_t i = 0; i < want_planes.size(); ++i) {
         EXPECT_EQ(want_planes[i], got_planes[i]) << "plane image " << i;
       }
+      const auto node_phases = static_cast<std::uint64_t>(kPhases) *
+                               static_cast<std::uint64_t>(sys.numNodes());
+      EXPECT_EQ(sys.nodesBatched() + sys.nodesScalar(), node_phases);
+      if (sys.nodeLanes() > 1) {
+        // id % 4 == 1 nodes diverge from the rest of their group, so some
+        // nodes must have finished in width-1 continuations — and the
+        // majority stayed batched.
+        EXPECT_GT(sys.nodesScalar(), 0u);
+        EXPECT_GT(sys.nodesBatched(), sys.nodesScalar());
+      } else {
+        EXPECT_EQ(sys.nodesScalar(), node_phases);
+      }
     }
   }
 }
 
-TEST(HypercubeTest, BatchedDmaFaultMatchesScalarGolden) {
+TEST(HypercubeTest, BatchedDmaFaultMatchesReferenceGolden) {
   // Shape-level fault retirement: a read DMA programmed past the simulated
-  // plane capacity faults every node identically.  The batched engine must
-  // report the same system error, the same per-node stats, and survive a
-  // restartAll + re-run exactly like scalar nodes do.
+  // plane capacity faults every node identically.  At every lane width the
+  // engine must report the same system error and per-node stats as
+  // reference nodes, and a restartAll + re-run after the fault must replay
+  // like reference nodes restarted after the same fault.
   Machine m;
   const mc::GenerateResult gen = buildScaleProgram(m);
   ASSERT_TRUE(gen.ok) << gen.diagnostics.format();
@@ -442,21 +532,23 @@ TEST(HypercubeTest, BatchedDmaFaultMatchesScalarGolden) {
   spec->set(exe.words[0], arch::MicrowordSpec::planeField(0, "base"),
             ~std::uint64_t{0});
 
-  const auto runFaulty = [&](int lanes) {
-    HypercubeSystem sys(m, 2, {.node_lanes = lanes});
+  constexpr int kPhases = 2;
+  const auto runFaulty = [&](auto& sys) {
     sys.loadAll(exe);
     SystemStats stats;
-    for (int phase = 0; phase < 2 && !stats.error; ++phase) {
+    for (int phase = 0; phase < kPhases; ++phase) {
       if (phase > 0) sys.restartAll();
       sys.runPhase(stats);
     }
     return stats;
   };
-  const SystemStats want = runFaulty(1);
+  ReferenceSystem reference(m, 2);
+  const SystemStats want = runFaulty(reference);
   EXPECT_TRUE(want.error);
-  for (const int lanes : {4, 8, 16}) {
+  for (const int lanes : {1, 4, 8, 16}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    const SystemStats got = runFaulty(lanes);
+    HypercubeSystem sys(m, 2, {.node_lanes = lanes});
+    const SystemStats got = runFaulty(sys);
     expectSystemStatsEqual(want, got);
   }
 }

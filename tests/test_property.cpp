@@ -6,11 +6,13 @@
 //      accepts connection-by-connection, the global pass accepts too;
 //   5. verifier soundness: randomly mutated microcode either verifies clean
 //      and executes fault-free on the engine and the reference
-//      interpreter, or the verifier's fault
-//      prediction matches the runtime fault — no false-clean verdicts.
+//      interpreter, or the verifier's fault prediction matches the runtime
+//      fault — no false-clean verdicts.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/strings.h"
 
@@ -368,6 +370,7 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
   // The engines agree on the fault verdict no matter what the bits say.
   EXPECT_EQ(legacy.error, compiled.error) << report.format();
   EXPECT_EQ(legacy.fault, compiled.fault) << report.format();
+  EXPECT_EQ(legacy.error_message, compiled.error_message) << report.format();
 
   // The batched SoA engine reaches the same verdict in every lane: no
   // mutation may execute false-clean (or fault differently) just because
@@ -384,42 +387,56 @@ TEST_P(VerifierSoundnessTest, CleanRunsFaultFreeErrorsPredictTheRuntimeFault) {
   for (const sim::RunStats& lane : batched.runs) {
     EXPECT_EQ(legacy.error, lane.error) << report.format();
     EXPECT_EQ(legacy.fault, lane.fault) << report.format();
-    EXPECT_EQ(compiled.error_message, lane.error_message) << report.format();
+    EXPECT_EQ(legacy.error_message, lane.error_message) << report.format();
   }
 
-  // And the SPMD axis: the same mutation replayed through a W=4 lane group
-  // phase (a d=2 hypercube whose four nodes ride one SoA group) must agree
-  // with a node_lanes = 1 system on the error verdict, message, and
-  // per-node stats — across a restartAll phase boundary.
-  const auto runSystem = [&](int lanes) {
+  // And the SPMD axis: the same mutation replayed through a d=2 hypercube
+  // (four nodes, as four width-1 groups and as one W=4 SoA group) must
+  // agree with four reference nodes on every node's stats and verdict in
+  // every phase — across a restartAll phase boundary, after a fault too.
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
     sim::HypercubeSystem system(machine, 2,
                                 {.node = batch_options, .node_lanes = lanes});
+    std::vector<sim::ReferenceNode> reference;
+    for (int node = 0; node < system.numNodes(); ++node) {
+      reference.emplace_back(machine, batch_options);
+    }
     system.loadAll(program);
     for (int node = 0; node < system.numNodes(); ++node) {
-      system.writePlane(node, 0, 0, test::iota(static_cast<std::size_t>(n), 1.0, 0.5));
-      system.writePlane(node, 1, 0, test::iota(static_cast<std::size_t>(n), -2.0, 0.25));
+      const auto x0 = test::iota(static_cast<std::size_t>(n), 1.0, 0.5);
+      const auto x1 = test::iota(static_cast<std::size_t>(n), -2.0, 0.25);
+      system.writePlane(node, 0, 0, x0);
+      system.writePlane(node, 1, 0, x1);
+      sim::ReferenceNode& ref = reference[static_cast<std::size_t>(node)];
+      ref.load(program);
+      ref.writePlane(0, 0, x0);
+      ref.writePlane(1, 0, x1);
     }
-    sim::SystemStats stats;
-    for (int phase = 0; phase < 2 && !stats.error; ++phase) {
+    for (int phase = 0; phase < 2; ++phase) {
+      SCOPED_TRACE("phase " + std::to_string(phase));
       if (phase > 0) system.restartAll();
+      sim::SystemStats stats;
       system.runPhase(stats);
+      bool any_error = false;
+      std::string first_error;
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        if (phase > 0) reference[i].restart();
+        const sim::RunStats want = reference[i].run();
+        if (want.error && !any_error) {
+          any_error = true;
+          first_error = want.error_message;
+        }
+        const sim::RunStats& got = stats.node_stats[i];
+        EXPECT_EQ(want.total_cycles, got.total_cycles) << "node " << i;
+        EXPECT_EQ(want.total_flops, got.total_flops) << "node " << i;
+        EXPECT_EQ(want.total_hazards, got.total_hazards) << "node " << i;
+        EXPECT_EQ(want.instructions_executed, got.instructions_executed)
+            << "node " << i;
+      }
+      EXPECT_EQ(any_error, stats.error) << report.format();
+      EXPECT_EQ(first_error, stats.error_message);
     }
-    return stats;
-  };
-  const sim::SystemStats sys_scalar = runSystem(1);
-  const sim::SystemStats sys_batched = runSystem(4);
-  EXPECT_EQ(sys_scalar.error, sys_batched.error) << report.format();
-  EXPECT_EQ(sys_scalar.error_message, sys_batched.error_message);
-  EXPECT_EQ(sys_scalar.error, legacy.error) << report.format();
-  ASSERT_EQ(sys_scalar.node_stats.size(), sys_batched.node_stats.size());
-  for (std::size_t i = 0; i < sys_scalar.node_stats.size(); ++i) {
-    EXPECT_EQ(sys_scalar.node_stats[i].total_cycles,
-              sys_batched.node_stats[i].total_cycles) << "node " << i;
-    EXPECT_EQ(sys_scalar.node_stats[i].total_flops,
-              sys_batched.node_stats[i].total_flops) << "node " << i;
-    EXPECT_EQ(sys_scalar.node_stats[i].instructions_executed,
-              sys_batched.node_stats[i].instructions_executed)
-        << "node " << i;
   }
 
   std::set<sim::FaultKind> predicted;
