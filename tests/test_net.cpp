@@ -147,7 +147,8 @@ TEST(WireTest, WordHexRoundTripsEveryValueClassBitExactly) {
   EXPECT_FALSE(net::decodeWordsHex("000000000000000F", reject));  // upper case
 }
 
-TEST(WireTest, EveryRequestTypeRoundTripsThroughJson) {
+// One request of every type, each field away from its default.
+std::vector<svc::Request> sampleRequests() {
   std::vector<svc::Request> requests;
   requests.push_back(svc::OpenSession{"pipeline \"p\"\n"});
   svc::SessionCommand command;
@@ -174,10 +175,19 @@ TEST(WireTest, EveryRequestTypeRoundTripsThroughJson) {
   phases.router.hop_latency_cycles = 3;
   phases.router.words_per_cycle = 0.5;
   requests.push_back(phases);
+  return requests;
+}
 
+svc::Admission sampleAdmission() {
   svc::Admission admission;
   admission.priority = svc::Priority::kBatch;
   admission.deadline_us = 1234;
+  return admission;
+}
+
+TEST(WireTest, EveryRequestTypeRoundTripsThroughJson) {
+  const std::vector<svc::Request> requests = sampleRequests();
+  const svc::Admission admission = sampleAdmission();
 
   for (const svc::Request& request : requests) {
     const net::FrameType type = net::frameTypeFor(request);
@@ -313,6 +323,168 @@ TEST(WireTest, RejectedReplyKeepsTypedRejectCode) {
   EXPECT_EQ(decoded.value().stats.rejected, svc::Reject::kUnknownSession);
   EXPECT_EQ(decoded.value().ok(), reply.ok());
   EXPECT_EQ(decoded.value().status.message(), reply.status.message());
+}
+
+// A reply with every field away from its default: a refused, not-ok
+// reply carrying a faulted trace entry, an ensemble, per-node system
+// stats, plane read-backs of every value class and a verify diagnostic
+// whose window never ends.
+svc::ServiceReply sampleReply() {
+  svc::ServiceReply reply;
+  reply.status = common::Status::error("session 999 is not open");
+  reply.session.commands = 3;
+  reply.session.failures = 1;
+  reply.session.log = {"placed als 0", "refused: \"wire\" busy"};
+  reply.session.status = common::Status::error("line 2: unknown verb");
+  reply.generation.ok = true;
+  reply.generation.diagnostics.add(check::Rule::kDanglingOutput,
+                                   check::Severity::kWarning,
+                                   "fu 3 output feeds nothing", 2);
+  sim::RunStats run;
+  run.total_cycles = 1200;
+  run.total_flops = 640;
+  run.total_hazards = 7;
+  run.instructions_executed = 2;
+  run.fu_launches = {0, 320, 320, 5};
+  sim::InstrStats instr;
+  instr.instruction = 1;
+  instr.name = "sweep";
+  instr.cycles = 900;
+  instr.flops = 640;
+  instr.hazards = 7;
+  instr.error = true;
+  instr.fault = sim::FaultKind::kDmaBounds;
+  instr.error_message = "plane 4 DMA past word 1023";
+  run.trace = {instr};
+  run.halted = true;
+  run.error = true;
+  run.fault = sim::FaultKind::kDmaBounds;
+  run.error_message = "instruction 1 faulted";
+  reply.run = run;
+  sim::RunStats timeout = run;
+  timeout.fault = sim::FaultKind::kTimeout;
+  timeout.trace[0].fault = sim::FaultKind::kTimeout;
+  reply.ensemble = {run, timeout};
+  reply.system.node_stats = {run, timeout};
+  reply.system.compute_makespan_cycles = 1300;
+  reply.system.comm_cycles = 48;
+  reply.system.total_flops = 1280;
+  reply.system.error = true;
+  reply.system.error_message = "node 1 timed out";
+  reply.outputs = {{1.0, -0.0, std::numeric_limits<double>::quiet_NaN()},
+                   {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::denorm_min()}};
+  auto verify = std::make_shared<sim::VerifyReport>();
+  sim::VerifyDiagnostic diagnostic;
+  diagnostic.code = sim::VerifyCode::kStarvedCond;
+  diagnostic.severity = check::Severity::kWarning;
+  diagnostic.instruction = 1;
+  diagnostic.endpoint = {arch::EndpointKind::kSdOutput, 2, 3};
+  diagnostic.window.first = 17;
+  diagnostic.window.last = sim::CycleWindow::kForever;
+  diagnostic.window.any = true;
+  diagnostic.window.tagged = true;
+  diagnostic.message = "latch armed on an endless stream";
+  verify->diagnostics.push_back(diagnostic);
+  reply.verify = verify;
+  reply.stats.shard = 2;
+  reply.stats.sequence = 17;
+  reply.stats.shard_sequence = 5;
+  reply.stats.priority = svc::Priority::kBatch;
+  reply.stats.queue_us = 12;
+  reply.stats.run_us = 345;
+  reply.stats.program_cache_hit = true;
+  reply.stats.pool_queue_depth = 3;
+  reply.stats.session = 999;
+  reply.stats.checker_session_hits = 4;
+  reply.stats.ensemble_lanes = 8;
+  reply.stats.replicas_batched = 16;
+  reply.stats.replicas_scalar = 1;
+  reply.stats.node_lanes = 4;
+  reply.stats.nodes_batched = 32;
+  reply.stats.nodes_scalar = 2;
+  reply.stats.retries = 1;
+  reply.stats.restored_from_disk = true;
+  reply.stats.rejected = svc::Reject::kUnknownSession;
+  return reply;
+}
+
+const char* frameTypeName(std::uint16_t code) {
+  for (const auto& [type, name] : net::allFrameTypes()) {
+    if (type == code) return name;
+  }
+  return "?";
+}
+
+std::string readRepoFile(const std::string& relative) {
+  std::ifstream in(std::string(NSC_REPO_DIR) + "/" + relative,
+                   std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Wire compatibility: tests/data/wire_golden.json holds payloads written
+// by the hand-paired codec that predates the field-descriptor schema —
+// every request type with admission, a reply with every field set, the
+// deterministic form of a real Figure-11 GenerateAndRun reply, and a
+// protocol error.  Encoding must reproduce those bytes, and decoding
+// them must lose nothing (re-encoding the decoded structs gives the same
+// bytes again).
+TEST(WireTest, CommittedGoldenPayloadsEncodeAndDecodeByteForByte) {
+  const std::string fixture = readRepoFile("tests/data/wire_golden.json");
+  ASSERT_FALSE(fixture.empty()) << "tests/data/wire_golden.json missing";
+
+  // A private program cache: the reply's program_cache_hit must not
+  // depend on which tests ran earlier in the process.
+  sim::CompiledProgramCache cache;
+  svc::ServiceOptions options;
+  options.shards = 1;
+  options.cache = &cache;
+  svc::WorkbenchService service(options);
+  const svc::ServiceReply figure11 = service.submit(figure11Request()).get();
+  ASSERT_TRUE(figure11.ok());
+
+  common::JsonObject requests;
+  for (const svc::Request& request : sampleRequests()) {
+    requests[frameTypeName(static_cast<std::uint16_t>(
+        net::frameTypeFor(request)))] =
+        net::requestToJson(request, sampleAdmission());
+  }
+  common::JsonObject encoded;
+  encoded["requests"] = common::Json(std::move(requests));
+  encoded["reply"] = net::replyToJson(sampleReply());
+  encoded["figure11_deterministic_reply"] =
+      net::deterministicReplyJson(figure11);
+  encoded["protocol_error"] = net::protocolErrorToJson(
+      {"bad-request", "field replicas: out of range"});
+  EXPECT_EQ(common::Json(encoded).dumpPretty(), fixture);
+
+  const common::Result<common::Json> parsed = common::Json::parse(fixture);
+  ASSERT_TRUE(parsed.isOk()) << parsed.message();
+  const common::Json& golden = parsed.value();
+  common::JsonObject recoded_requests;
+  for (const auto& [code, name] : net::allFrameTypes()) {
+    if (!net::frameTypeIsRequest(code)) continue;
+    ASSERT_TRUE(golden.at("requests").has(name)) << name;
+    auto decoded = net::requestFromJson(code, golden.at("requests").at(name));
+    ASSERT_TRUE(decoded.isOk()) << name << ": " << decoded.message();
+    recoded_requests[name] = net::requestToJson(decoded.value().request,
+                                                decoded.value().admission);
+  }
+  auto reply = net::replyFromJson(golden.at("reply"));
+  ASSERT_TRUE(reply.isOk()) << reply.message();
+  auto deterministic =
+      net::replyFromJson(golden.at("figure11_deterministic_reply"));
+  ASSERT_TRUE(deterministic.isOk()) << deterministic.message();
+  common::JsonObject recoded;
+  recoded["requests"] = common::Json(std::move(recoded_requests));
+  recoded["reply"] = net::replyToJson(reply.value());
+  recoded["figure11_deterministic_reply"] =
+      net::deterministicReplyJson(deterministic.value());
+  recoded["protocol_error"] = net::protocolErrorToJson(
+      net::protocolErrorFromJson(golden.at("protocol_error")));
+  EXPECT_EQ(common::Json(recoded).dumpPretty(), fixture);
 }
 
 // ---------------------------------------------------------------------------
