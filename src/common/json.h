@@ -31,8 +31,8 @@ namespace nsc::common {
 class Json;
 using JsonArray = std::vector<Json>;
 // std::map keeps keys sorted: serialized output is deterministic, which
-// golden tests rely on.
-using JsonObject = std::map<std::string, Json>;
+// golden tests rely on.  std::less<> lets lookups take a string_view.
+using JsonObject = std::map<std::string, Json, std::less<>>;
 
 class Json {
  public:

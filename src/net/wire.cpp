@@ -1,9 +1,8 @@
 #include "net/wire.h"
 
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <algorithm>
+#include <iterator>
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -11,12 +10,13 @@
 
 namespace nsc::net {
 
-// Private-member bridge declared as a friend by svc::ServiceReply.
+// Private-member bridge declared as a friend by svc::ServiceReply; shaped
+// as a schema accessor for the reply's `complete` field.
 struct ReplyAccess {
-  static bool complete(const svc::ServiceReply& reply) {
-    return reply.complete_;
-  }
-  static void setComplete(svc::ServiceReply& reply, bool value) {
+  using Struct = svc::ServiceReply;
+  using Value = bool;
+  static bool get(const svc::ServiceReply& reply) { return reply.complete_; }
+  static void set(svc::ServiceReply& reply, bool value) {
     reply.complete_ = value;
   }
 };
@@ -24,921 +24,436 @@ struct ReplyAccess {
 namespace {
 
 using common::Json;
-using common::JsonArray;
-using common::JsonObject;
 using common::Result;
+// The table vocabulary: field, accessor, table and the codec kinds.
+using namespace common::schema;
 
 // ---------------------------------------------------------------------------
-// Decode helpers: first error wins, messages name the offending field.
+// Accessors for state that is not a plain member.
 // ---------------------------------------------------------------------------
 
-struct Ctx {
-  std::string err;
-  bool ok() const { return err.empty(); }
-  bool fail(std::string message) {
-    if (err.empty()) err = std::move(message);
-    return false;
+// common::Status travels as {"ok": bool, "message": string}, the message
+// only when the status failed.
+struct StatusOk {
+  using Struct = common::Status;
+  using Value = bool;
+  static bool get(const common::Status& status) { return status.isOk(); }
+  static void set(common::Status& status, bool ok) {
+    status =
+        ok ? common::Status::ok() : common::Status::error(status.message());
   }
 };
 
-bool needObject(Ctx& ctx, const Json& j, const char* what) {
-  if (j.isObject()) return true;
-  return ctx.fail(common::strFormat("%s: expected object", what));
-}
-
-bool getNum(Ctx& ctx, const Json& obj, const char* key, double& out,
-            bool required) {
-  if (!obj.has(key)) {
-    if (required) return ctx.fail(common::strFormat("missing field %s", key));
-    return true;
+struct StatusMessage {
+  using Struct = common::Status;
+  using Value = std::optional<std::string>;
+  static Value get(const common::Status& status) {
+    return status.isOk() ? Value{} : Value{status.message()};
   }
-  if (!obj.at(key).isNumber()) {
-    return ctx.fail(common::strFormat("field %s: expected number", key));
+  static void set(common::Status& status, Value message) {
+    if (!status.isOk()) {
+      status = common::Status::error(std::move(message).value_or(""));
+    }
   }
-  out = obj.at(key).asDouble();
-  return true;
-}
+};
 
-bool getInt(Ctx& ctx, const Json& obj, const char* key, std::int64_t& out,
-            bool required = false) {
-  double v = static_cast<double>(out);
-  if (!getNum(ctx, obj, key, v, required)) return false;
-  out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-bool getU64(Ctx& ctx, const Json& obj, const char* key, std::uint64_t& out,
-            bool required = false) {
-  double v = static_cast<double>(out);
-  if (!getNum(ctx, obj, key, v, required)) return false;
-  if (v < 0) return ctx.fail(common::strFormat("field %s: negative", key));
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool getIntField(Ctx& ctx, const Json& obj, const char* key, int& out,
-                 bool required = false) {
-  std::int64_t v = out;
-  if (!getInt(ctx, obj, key, v, required)) return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool getBool(Ctx& ctx, const Json& obj, const char* key, bool& out,
-             bool required = false) {
-  if (!obj.has(key)) {
-    if (required) return ctx.fail(common::strFormat("missing field %s", key));
-    return true;
+struct GenerationDiagnostics {
+  using Struct = mc::GenerateResult;
+  using Value = std::vector<check::Diagnostic>;
+  static const Value& get(const mc::GenerateResult& generation) {
+    return generation.diagnostics.all();
   }
-  if (!obj.at(key).isBool()) {
-    return ctx.fail(common::strFormat("field %s: expected bool", key));
+  static void set(mc::GenerateResult& generation, Value diagnostics) {
+    for (check::Diagnostic& d : diagnostics) {
+      generation.diagnostics.add(d.rule, d.severity, std::move(d.message),
+                                 d.pipeline);
+    }
   }
-  out = obj.at(key).asBool();
-  return true;
-}
-
-bool getString(Ctx& ctx, const Json& obj, const char* key, std::string& out,
-               bool required = false) {
-  if (!obj.has(key)) {
-    if (required) return ctx.fail(common::strFormat("missing field %s", key));
-    return true;
-  }
-  if (!obj.at(key).isString()) {
-    return ctx.fail(common::strFormat("field %s: expected string", key));
-  }
-  out = obj.at(key).asString();
-  return true;
-}
-
-// u64 carried as a decimal string (for values beyond 2^53 — CycleWindow).
-Json u64String(std::uint64_t v) {
-  return common::strFormat("%llu", static_cast<unsigned long long>(v));
-}
-
-bool getU64String(Ctx& ctx, const Json& obj, const char* key,
-                  std::uint64_t& out) {
-  std::string text;
-  if (!getString(ctx, obj, key, text)) return false;
-  if (text.empty()) return true;
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return ctx.fail(common::strFormat("field %s: bad u64 string", key));
-  }
-  return true;
-}
+};
 
 // ---------------------------------------------------------------------------
-// Leaf codecs.
+// Tables, leaves first.  docs/PROTOCOL.md renders every table in
+// wireTables(); the doc strings are its "meaning" column.
 // ---------------------------------------------------------------------------
 
-Json statusToJson(const common::Status& status) {
-  JsonObject obj;
-  obj["ok"] = status.isOk();
-  if (!status.isOk()) obj["message"] = status.message();
-  return Json(std::move(obj));
+constexpr auto kPlaneImage = table<svc::PlaneImage>("PlaneImage", {
+    field<&svc::PlaneImage::plane>("plane", "memory plane id"),
+    field<&svc::PlaneImage::base>("base", "first word offset"),
+    field<&svc::PlaneImage::values>("values", "the words to write"),
+});
+
+constexpr auto kPlaneRange = table<svc::PlaneRange>("PlaneRange", {
+    field<&svc::PlaneRange::plane>("plane", "memory plane id"),
+    field<&svc::PlaneRange::base>("base", "first word offset"),
+    field<&svc::PlaneRange::count>("count", "words to read"),
+});
+
+using PlaneImages = List<Object<kPlaneImage>>;
+using PlaneRanges = List<Object<kPlaneRange>>;
+
+constexpr auto kAdmission = table<svc::Admission>("Admission", {
+    field<&svc::Admission::priority, Nullable<Enum<svc::Priority::kBatch>>>(
+        "priority", "0 interactive, 1 batch; absent: by request type",
+        kOmitDefault),
+    field<&svc::Admission::deadline_us>(
+        "deadline_us", "dispatch deadline after admission in µs; 0 none",
+        kOmitDefault),
+});
+
+constexpr auto kOpenSession = table<svc::OpenSession>("OpenSession", {
+    field<&svc::OpenSession::script>("script", "initial script; may be empty"),
+});
+
+constexpr auto kSessionCommand = table<svc::SessionCommand>("SessionCommand", {
+    field<&svc::SessionCommand::session>("session", "id from OpenSession",
+                                         kRequired),
+    field<&svc::SessionCommand::script>("script", "commands to replay"),
+    field<&svc::SessionCommand::run>("run", "generate and run after replay"),
+    field<&svc::SessionCommand::inputs, PlaneImages>("inputs",
+                                                     "written before the run"),
+    field<&svc::SessionCommand::outputs, PlaneRanges>("outputs",
+                                                      "read after the run"),
+});
+
+constexpr auto kCloseSession = table<svc::CloseSession>("CloseSession", {
+    field<&svc::CloseSession::session>("session", "id to close", kRequired),
+});
+
+constexpr auto kSubmitSession = table<svc::SubmitSession>("SubmitSession", {
+    field<&svc::SubmitSession::script>("script", "script to replay, no run",
+                                       kRequired),
+});
+
+constexpr auto kGenerateAndRun = table<svc::GenerateAndRun>("GenerateAndRun", {
+    field<&svc::GenerateAndRun::script>("script", "script to replay",
+                                        kRequired),
+    field<&svc::GenerateAndRun::inputs, PlaneImages>("inputs",
+                                                     "written before the run"),
+    field<&svc::GenerateAndRun::outputs, PlaneRanges>("outputs",
+                                                      "read after the run"),
+});
+
+constexpr auto kRunEnsemble = table<svc::RunEnsemble>("RunEnsemble", {
+    field<&svc::RunEnsemble::script>("script", "script to replay", kRequired),
+    field<&svc::RunEnsemble::replicas>("replicas", "copies to run"),
+    field<&svc::RunEnsemble::lanes>("lanes", "SoA lanes; 0 auto, 1 scalar"),
+});
+
+constexpr auto kRouter = table<sim::RouterOptions>("RouterOptions", {
+    field<&sim::RouterOptions::message_startup_cycles>(
+        "message_startup_cycles", "per-message startup cost"),
+    field<&sim::RouterOptions::hop_latency_cycles>("hop_latency_cycles",
+                                                   "per-hop latency"),
+    field<&sim::RouterOptions::words_per_cycle>("words_per_cycle",
+                                                "link bandwidth"),
+});
+
+constexpr auto kRunSystemPhases =
+    table<svc::RunSystemPhases>("RunSystemPhases", {
+        field<&svc::RunSystemPhases::script>("script", "script to replay",
+                                             kRequired),
+        field<&svc::RunSystemPhases::dimension>("dimension",
+                                                "hypercube of 2^d nodes"),
+        field<&svc::RunSystemPhases::phases>("phases", "compute phases"),
+        field<&svc::RunSystemPhases::node_lanes>(
+            "node_lanes", "SPMD lanes; 0 auto, 1 scalar"),
+        field<&svc::RunSystemPhases::router, Object<kRouter>>(
+            "router", "hypercube router timing"),
+    });
+
+constexpr auto kStatus = table<common::Status>("Status", {
+    accessor<StatusOk>("ok", "false when it failed", kRequired),
+    accessor<StatusMessage, Nullable<String>>(
+        "message", "what failed; absent when ok", kOmitDefault),
+});
+
+constexpr auto kSessionResult = table<ed::SessionResult>("SessionResult", {
+    field<&ed::SessionResult::commands>("commands", "commands replayed"),
+    field<&ed::SessionResult::failures>("failures", "commands refused"),
+    field<&ed::SessionResult::log>("log", "message strip after each command"),
+    field<&ed::SessionResult::status, Object<kStatus>>(
+        "status", "parse-level problems"),
+});
+
+constexpr auto kDiagnostic = table<check::Diagnostic>("Diagnostic", {
+    field<&check::Diagnostic::rule, Enum<check::Rule::kMissingDriver>>(
+        "rule", "`check::Rule` (src/checker/diagnostics.h)"),
+    field<&check::Diagnostic::severity, Enum<check::Severity::kError>>(
+        "severity", "0 warning, 1 error"),
+    field<&check::Diagnostic::pipeline>("pipeline",
+                                        "instruction; -1 not applicable"),
+    field<&check::Diagnostic::message>("message", "the finding"),
+});
+
+constexpr auto kGenerateResult = table<mc::GenerateResult>("GenerateResult", {
+    field<&mc::GenerateResult::ok>("ok", "microcode was generated"),
+    accessor<GenerationDiagnostics, List<Object<kDiagnostic>>>(
+        "diagnostics", "checker findings"),
+});
+
+using FaultCode = Enum<sim::FaultKind::kTimeout>;
+constexpr std::string_view kFaultDoc = "0 none, 1 dma-bounds, 2 timeout";
+
+constexpr auto kInstrStats = table<sim::InstrStats>("InstrStats", {
+    field<&sim::InstrStats::instruction>("instruction", "program counter"),
+    field<&sim::InstrStats::name>("name", "instruction name"),
+    field<&sim::InstrStats::cycles>("cycles", "cycles spent"),
+    field<&sim::InstrStats::flops>("flops", "floating-point results"),
+    field<&sim::InstrStats::hazards>("hazards", "valid/invalid pairings"),
+    field<&sim::InstrStats::error>("error", "the instruction faulted"),
+    field<&sim::InstrStats::fault, FaultCode>("fault", kFaultDoc),
+    field<&sim::InstrStats::error_message>("message", "fault text"),
+});
+
+constexpr auto kRunStats = table<sim::RunStats>("RunStats", {
+    field<&sim::RunStats::total_cycles>("total_cycles", "cycles"),
+    field<&sim::RunStats::total_flops>("total_flops", "flops"),
+    field<&sim::RunStats::total_hazards>("total_hazards", "hazards"),
+    field<&sim::RunStats::instructions_executed>("instructions_executed",
+                                                 "instructions run"),
+    field<&sim::RunStats::fu_launches>("fu_launches",
+                                       "valid launches per functional unit"),
+    field<&sim::RunStats::trace, List<Object<kInstrStats>>>(
+        "trace", "one entry per executed instruction"),
+    field<&sim::RunStats::halted>("halted", "the program halted"),
+    field<&sim::RunStats::error>("error", "the run faulted"),
+    field<&sim::RunStats::fault, FaultCode>("fault", kFaultDoc),
+    field<&sim::RunStats::error_message>("message", "fault text"),
+});
+
+constexpr auto kSystemStats = table<sim::SystemStats>("SystemStats", {
+    field<&sim::SystemStats::node_stats, List<Object<kRunStats>>>(
+        "node_stats", "one per node"),
+    field<&sim::SystemStats::compute_makespan_cycles>(
+        "compute_makespan_cycles", "slowest node's compute cycles, summed"),
+    field<&sim::SystemStats::comm_cycles>("comm_cycles", "exchange cycles"),
+    field<&sim::SystemStats::total_flops>("total_flops", "flops, all nodes"),
+    field<&sim::SystemStats::error>("error", "a node faulted"),
+    field<&sim::SystemStats::error_message>("message", "fault text"),
+});
+
+constexpr auto kEndpoint = table<arch::Endpoint>("Endpoint", {
+    field<&arch::Endpoint::kind, Enum<arch::EndpointKind::kSdInput>>(
+        "kind", "`arch::EndpointKind`"),
+    field<&arch::Endpoint::unit>("unit", "unit id of that kind"),
+    field<&arch::Endpoint::port>("port", "port or tap"),
+});
+
+constexpr auto kCycleWindow = table<sim::CycleWindow>("CycleWindow", {
+    field<&sim::CycleWindow::first>("first", "first valid cycle"),
+    field<&sim::CycleWindow::last, U64String>(
+        "last", "last valid cycle; 18446744073709551615 forever"),
+    field<&sim::CycleWindow::any>("any", "some cycle is valid"),
+    field<&sim::CycleWindow::tagged>("tagged", "the last element is tagged"),
+});
+
+constexpr auto kVerifyDiagnostic =
+    table<sim::VerifyDiagnostic>("VerifyDiagnostic", {
+        field<&sim::VerifyDiagnostic::code,
+              Enum<sim::VerifyCode::kExchangeDangling>>("code",
+                                                        "`sim::VerifyCode`"),
+        field<&sim::VerifyDiagnostic::severity, Enum<check::Severity::kError>>(
+            "severity", "0 warning, 1 error"),
+        field<&sim::VerifyDiagnostic::instruction>(
+            "instruction", "program slot; -1 program-wide"),
+        field<&sim::VerifyDiagnostic::endpoint, Object<kEndpoint>>(
+            "endpoint", "offending endpoint"),
+        field<&sim::VerifyDiagnostic::window, Object<kCycleWindow>>(
+            "window", "offending cycle window"),
+        field<&sim::VerifyDiagnostic::message>("message", "the finding"),
+    });
+
+constexpr auto kVerifyReport = table<sim::VerifyReport>("VerifyReport", {
+    field<&sim::VerifyReport::diagnostics, List<Object<kVerifyDiagnostic>>>(
+        "diagnostics", "static-verification findings"),
+});
+
+constexpr auto kRequestStats = table<svc::RequestStats>("RequestStats", {
+    field<&svc::RequestStats::shard>("shard", "shard that served it",
+                                     kNondeterministic),
+    field<&svc::RequestStats::sequence>("sequence", "admission order",
+                                        kNondeterministic),
+    field<&svc::RequestStats::shard_sequence>(
+        "shard_sequence", "dispatch order on the shard", kNondeterministic),
+    field<&svc::RequestStats::priority, Enum<svc::Priority::kBatch>>(
+        "priority", "class admitted at: 0 interactive, 1 batch"),
+    field<&svc::RequestStats::queue_us>("queue_us", "admission to dispatch, µs",
+                                        kNondeterministic),
+    field<&svc::RequestStats::run_us>("run_us", "dispatch to reply, µs",
+                                      kNondeterministic),
+    field<&svc::RequestStats::program_cache_hit>("program_cache_hit",
+                                                 "compiled image reused"),
+    field<&svc::RequestStats::pool_queue_depth>(
+        "pool_queue_depth", "exec pool backlog at dispatch", kNondeterministic),
+    field<&svc::RequestStats::session>("session", "session id, if any"),
+    field<&svc::RequestStats::checker_session_hits>(
+        "checker_session_hits", "checker queries answered from warm state"),
+    field<&svc::RequestStats::ensemble_lanes>("ensemble_lanes",
+                                              "resolved SoA lane width"),
+    field<&svc::RequestStats::replicas_batched>("replicas_batched",
+                                                "replicas run in lockstep"),
+    field<&svc::RequestStats::replicas_scalar>("replicas_scalar",
+                                               "replicas run alone"),
+    field<&svc::RequestStats::node_lanes>("node_lanes",
+                                          "resolved SPMD lane width"),
+    field<&svc::RequestStats::nodes_batched>("nodes_batched",
+                                             "node-phases run in lane groups"),
+    field<&svc::RequestStats::nodes_scalar>("nodes_scalar",
+                                            "node-phases run alone"),
+    field<&svc::RequestStats::retries>("retries", "faulted attempts retried"),
+    field<&svc::RequestStats::restored_from_disk>(
+        "restored_from_disk", "session restored from a checkpoint"),
+    field<&svc::RequestStats::rejected, Enum<svc::Reject::kInternal>>(
+        "rejected", "0 none, 1 deadline, 2 overload, 3 unknown-session, "
+                    "4 session-limit, 5 invalid-program, 6 internal"),
+});
+
+constexpr auto kReply = table<svc::ServiceReply>("ServiceReply", {
+    field<&svc::ServiceReply::status, Object<kStatus>>(
+        "status", "service-level failure only"),
+    field<&svc::ServiceReply::session, Object<kSessionResult>>(
+        "session", "editor replay record"),
+    field<&svc::ServiceReply::generation, Object<kGenerateResult>>(
+        "generation", "microcode generation verdict"),
+    field<&svc::ServiceReply::run, Object<kRunStats>>(
+        "run", "GenerateAndRun, SessionCommand with run"),
+    field<&svc::ServiceReply::ensemble, List<Object<kRunStats>>>(
+        "ensemble", "RunEnsemble, one per replica"),
+    field<&svc::ServiceReply::system, Object<kSystemStats>>("system",
+                                                            "RunSystemPhases"),
+    field<&svc::ServiceReply::outputs>("outputs",
+                                       "one per requested plane range"),
+    field<&svc::ServiceReply::verify, Nullable<Object<kVerifyReport>>>(
+        "verify", "static verification; null when nothing compiled"),
+    field<&svc::ServiceReply::stats, Object<kRequestStats>>(
+        "stats", "per-request serving stats"),
+    accessor<ReplyAccess>("complete", "with status.ok, gives ok()"),
+});
+
+constexpr auto kProtocolError = table<ProtocolError>("ProtocolError", {
+    field<&ProtocolError::code>("code", "one of the codes below"),
+    field<&ProtocolError::message>("message", "what was wrong"),
+});
+
+// The frame type and table of each svc::Request alternative, index-parallel
+// with the variant.
+struct RequestSchema {
+  FrameType type;
+  Table table;
+  svc::Request (*make)();
+};
+
+template <class R, std::size_t N>
+constexpr RequestSchema request(FrameType type, const TableFor<R, N>& table) {
+  return {type, table, [] { return svc::Request(R{}); }};
 }
 
-common::Status statusFromJson(Ctx& ctx, const Json& j) {
-  if (!needObject(ctx, j, "status")) return common::Status::ok();
-  bool ok = true;
-  std::string message;
-  getBool(ctx, j, "ok", ok, /*required=*/true);
-  getString(ctx, j, "message", message);
-  if (ok) return common::Status::ok();
-  return common::Status::error(std::move(message));
-}
-
-Json planeImageToJson(const svc::PlaneImage& image) {
-  JsonObject obj;
-  obj["plane"] = image.plane;
-  obj["base"] = image.base;
-  obj["values"] = encodeWordsHex(image.values);
-  return Json(std::move(obj));
-}
-
-svc::PlaneImage planeImageFromJson(Ctx& ctx, const Json& j) {
-  svc::PlaneImage image;
-  if (!needObject(ctx, j, "inputs[]")) return image;
-  getIntField(ctx, j, "plane", image.plane);
-  getU64(ctx, j, "base", image.base);
-  std::string hex;
-  getString(ctx, j, "values", hex);
-  if (ctx.ok() && !decodeWordsHex(hex, image.values)) {
-    ctx.fail("field values: bad 16-hex word encoding");
-  }
-  return image;
-}
-
-Json planeRangeToJson(const svc::PlaneRange& range) {
-  JsonObject obj;
-  obj["plane"] = range.plane;
-  obj["base"] = range.base;
-  obj["count"] = range.count;
-  return Json(std::move(obj));
-}
-
-svc::PlaneRange planeRangeFromJson(Ctx& ctx, const Json& j) {
-  svc::PlaneRange range;
-  if (!needObject(ctx, j, "outputs[]")) return range;
-  getIntField(ctx, j, "plane", range.plane);
-  getU64(ctx, j, "base", range.base);
-  getU64(ctx, j, "count", range.count);
-  return range;
-}
-
-Json sessionResultToJson(const ed::SessionResult& session) {
-  JsonObject obj;
-  obj["commands"] = session.commands;
-  obj["failures"] = session.failures;
-  JsonArray log;
-  log.reserve(session.log.size());
-  for (const std::string& line : session.log) log.emplace_back(line);
-  obj["log"] = std::move(log);
-  obj["status"] = statusToJson(session.status);
-  return Json(std::move(obj));
-}
-
-ed::SessionResult sessionResultFromJson(Ctx& ctx, const Json& j) {
-  ed::SessionResult session;
-  if (!needObject(ctx, j, "session")) return session;
-  getIntField(ctx, j, "commands", session.commands);
-  getIntField(ctx, j, "failures", session.failures);
-  if (j.has("log")) {
-    if (!j.at("log").isArray()) {
-      ctx.fail("field log: expected array");
-      return session;
-    }
-    for (const Json& line : j.at("log").asArray()) {
-      if (!line.isString()) {
-        ctx.fail("field log: expected strings");
-        return session;
-      }
-      session.log.push_back(line.asString());
-    }
-  }
-  if (j.has("status")) session.status = statusFromJson(ctx, j.at("status"));
-  return session;
-}
-
-Json generationToJson(const mc::GenerateResult& generation) {
-  JsonObject obj;
-  obj["ok"] = generation.ok;
-  JsonArray diagnostics;
-  for (const check::Diagnostic& d : generation.diagnostics.all()) {
-    JsonObject item;
-    item["rule"] = static_cast<int>(d.rule);
-    item["severity"] = static_cast<int>(d.severity);
-    item["message"] = d.message;
-    item["pipeline"] = d.pipeline;
-    diagnostics.emplace_back(std::move(item));
-  }
-  obj["diagnostics"] = std::move(diagnostics);
-  return Json(std::move(obj));
-}
-
-mc::GenerateResult generationFromJson(Ctx& ctx, const Json& j) {
-  mc::GenerateResult generation;
-  if (!needObject(ctx, j, "generation")) return generation;
-  getBool(ctx, j, "ok", generation.ok);
-  if (j.has("diagnostics")) {
-    if (!j.at("diagnostics").isArray()) {
-      ctx.fail("field diagnostics: expected array");
-      return generation;
-    }
-    for (const Json& item : j.at("diagnostics").asArray()) {
-      if (!needObject(ctx, item, "diagnostics[]")) return generation;
-      int rule = 0;
-      int severity = 0;
-      int pipeline = -1;
-      std::string message;
-      getIntField(ctx, item, "rule", rule);
-      getIntField(ctx, item, "severity", severity);
-      getIntField(ctx, item, "pipeline", pipeline);
-      getString(ctx, item, "message", message);
-      if (severity != 0 && severity != 1) {
-        ctx.fail("field severity: out of range");
-        return generation;
-      }
-      generation.diagnostics.add(static_cast<check::Rule>(rule),
-                                 static_cast<check::Severity>(severity),
-                                 std::move(message), pipeline);
-    }
-  }
-  return generation;
-}
-
-Json instrStatsToJson(const sim::InstrStats& instr) {
-  JsonObject obj;
-  obj["instruction"] = instr.instruction;
-  obj["name"] = instr.name;
-  obj["cycles"] = instr.cycles;
-  obj["flops"] = instr.flops;
-  obj["hazards"] = instr.hazards;
-  obj["error"] = instr.error;
-  obj["fault"] = static_cast<int>(instr.fault);
-  obj["message"] = instr.error_message;
-  return Json(std::move(obj));
-}
-
-bool faultFromInt(Ctx& ctx, int value, sim::FaultKind& out) {
-  if (value < 0 || value > static_cast<int>(sim::FaultKind::kTimeout)) {
-    return ctx.fail("field fault: out of range");
-  }
-  out = static_cast<sim::FaultKind>(value);
-  return true;
-}
-
-sim::InstrStats instrStatsFromJson(Ctx& ctx, const Json& j) {
-  sim::InstrStats instr;
-  if (!needObject(ctx, j, "trace[]")) return instr;
-  getIntField(ctx, j, "instruction", instr.instruction);
-  getString(ctx, j, "name", instr.name);
-  getU64(ctx, j, "cycles", instr.cycles);
-  getU64(ctx, j, "flops", instr.flops);
-  getU64(ctx, j, "hazards", instr.hazards);
-  getBool(ctx, j, "error", instr.error);
-  int fault = 0;
-  getIntField(ctx, j, "fault", fault);
-  if (ctx.ok()) faultFromInt(ctx, fault, instr.fault);
-  getString(ctx, j, "message", instr.error_message);
-  return instr;
-}
-
-Json runStatsToJson(const sim::RunStats& run) {
-  JsonObject obj;
-  obj["total_cycles"] = run.total_cycles;
-  obj["total_flops"] = run.total_flops;
-  obj["total_hazards"] = run.total_hazards;
-  obj["instructions_executed"] = run.instructions_executed;
-  JsonArray launches;
-  launches.reserve(run.fu_launches.size());
-  for (std::uint64_t l : run.fu_launches) launches.emplace_back(l);
-  obj["fu_launches"] = std::move(launches);
-  JsonArray trace;
-  trace.reserve(run.trace.size());
-  for (const sim::InstrStats& instr : run.trace) {
-    trace.push_back(instrStatsToJson(instr));
-  }
-  obj["trace"] = std::move(trace);
-  obj["halted"] = run.halted;
-  obj["error"] = run.error;
-  obj["fault"] = static_cast<int>(run.fault);
-  obj["message"] = run.error_message;
-  return Json(std::move(obj));
-}
-
-sim::RunStats runStatsFromJson(Ctx& ctx, const Json& j) {
-  sim::RunStats run;
-  if (!needObject(ctx, j, "run")) return run;
-  getU64(ctx, j, "total_cycles", run.total_cycles);
-  getU64(ctx, j, "total_flops", run.total_flops);
-  getU64(ctx, j, "total_hazards", run.total_hazards);
-  getU64(ctx, j, "instructions_executed", run.instructions_executed);
-  if (j.has("fu_launches")) {
-    if (!j.at("fu_launches").isArray()) {
-      ctx.fail("field fu_launches: expected array");
-      return run;
-    }
-    for (const Json& l : j.at("fu_launches").asArray()) {
-      if (!l.isNumber()) {
-        ctx.fail("field fu_launches: expected numbers");
-        return run;
-      }
-      run.fu_launches.push_back(
-          static_cast<std::uint64_t>(l.asDouble()));
-    }
-  }
-  if (j.has("trace")) {
-    if (!j.at("trace").isArray()) {
-      ctx.fail("field trace: expected array");
-      return run;
-    }
-    for (const Json& item : j.at("trace").asArray()) {
-      run.trace.push_back(instrStatsFromJson(ctx, item));
-      if (!ctx.ok()) return run;
-    }
-  }
-  getBool(ctx, j, "halted", run.halted);
-  getBool(ctx, j, "error", run.error);
-  int fault = 0;
-  getIntField(ctx, j, "fault", fault);
-  if (ctx.ok()) faultFromInt(ctx, fault, run.fault);
-  getString(ctx, j, "message", run.error_message);
-  return run;
-}
-
-Json systemStatsToJson(const sim::SystemStats& system) {
-  JsonObject obj;
-  JsonArray nodes;
-  nodes.reserve(system.node_stats.size());
-  for (const sim::RunStats& node : system.node_stats) {
-    nodes.push_back(runStatsToJson(node));
-  }
-  obj["node_stats"] = std::move(nodes);
-  obj["compute_makespan_cycles"] = system.compute_makespan_cycles;
-  obj["comm_cycles"] = system.comm_cycles;
-  obj["total_flops"] = system.total_flops;
-  obj["error"] = system.error;
-  obj["message"] = system.error_message;
-  return Json(std::move(obj));
-}
-
-sim::SystemStats systemStatsFromJson(Ctx& ctx, const Json& j) {
-  sim::SystemStats system;
-  if (!needObject(ctx, j, "system")) return system;
-  if (j.has("node_stats")) {
-    if (!j.at("node_stats").isArray()) {
-      ctx.fail("field node_stats: expected array");
-      return system;
-    }
-    for (const Json& node : j.at("node_stats").asArray()) {
-      system.node_stats.push_back(runStatsFromJson(ctx, node));
-      if (!ctx.ok()) return system;
-    }
-  }
-  getU64(ctx, j, "compute_makespan_cycles", system.compute_makespan_cycles);
-  getU64(ctx, j, "comm_cycles", system.comm_cycles);
-  getU64(ctx, j, "total_flops", system.total_flops);
-  getBool(ctx, j, "error", system.error);
-  getString(ctx, j, "message", system.error_message);
-  return system;
-}
-
-Json verifyToJson(const sim::VerifyReport& verify) {
-  JsonObject obj;
-  JsonArray diagnostics;
-  diagnostics.reserve(verify.diagnostics.size());
-  for (const sim::VerifyDiagnostic& d : verify.diagnostics) {
-    JsonObject item;
-    item["code"] = static_cast<int>(d.code);
-    item["severity"] = static_cast<int>(d.severity);
-    item["instruction"] = d.instruction;
-    JsonObject endpoint;
-    endpoint["kind"] = static_cast<int>(d.endpoint.kind);
-    endpoint["unit"] = d.endpoint.unit;
-    endpoint["port"] = d.endpoint.port;
-    item["endpoint"] = std::move(endpoint);
-    JsonObject window;
-    window["first"] = d.window.first;
-    window["last"] = u64String(d.window.last);  // may be kForever > 2^53
-    window["any"] = d.window.any;
-    window["tagged"] = d.window.tagged;
-    item["window"] = std::move(window);
-    item["message"] = d.message;
-    diagnostics.emplace_back(std::move(item));
-  }
-  obj["diagnostics"] = std::move(diagnostics);
-  return Json(std::move(obj));
-}
-
-std::shared_ptr<const sim::VerifyReport> verifyFromJson(Ctx& ctx,
-                                                        const Json& j) {
-  auto verify = std::make_shared<sim::VerifyReport>();
-  if (!needObject(ctx, j, "verify")) return nullptr;
-  if (j.has("diagnostics")) {
-    if (!j.at("diagnostics").isArray()) {
-      ctx.fail("field verify.diagnostics: expected array");
-      return nullptr;
-    }
-    for (const Json& item : j.at("diagnostics").asArray()) {
-      if (!needObject(ctx, item, "verify.diagnostics[]")) return nullptr;
-      sim::VerifyDiagnostic d;
-      int code = 0;
-      int severity = 0;
-      getIntField(ctx, item, "code", code);
-      getIntField(ctx, item, "severity", severity);
-      getIntField(ctx, item, "instruction", d.instruction);
-      if (severity != 0 && severity != 1) {
-        ctx.fail("field verify severity: out of range");
-        return nullptr;
-      }
-      d.code = static_cast<sim::VerifyCode>(code);
-      d.severity = static_cast<check::Severity>(severity);
-      if (item.has("endpoint")) {
-        const Json& endpoint = item.at("endpoint");
-        if (!needObject(ctx, endpoint, "verify endpoint")) return nullptr;
-        int kind = 0;
-        getIntField(ctx, endpoint, "kind", kind);
-        d.endpoint.kind = static_cast<arch::EndpointKind>(kind);
-        getIntField(ctx, endpoint, "unit", d.endpoint.unit);
-        getIntField(ctx, endpoint, "port", d.endpoint.port);
-      }
-      if (item.has("window")) {
-        const Json& window = item.at("window");
-        if (!needObject(ctx, window, "verify window")) return nullptr;
-        getU64(ctx, window, "first", d.window.first);
-        getU64String(ctx, window, "last", d.window.last);
-        getBool(ctx, window, "any", d.window.any);
-        getBool(ctx, window, "tagged", d.window.tagged);
-      }
-      getString(ctx, item, "message", d.message);
-      if (!ctx.ok()) return nullptr;
-      verify->diagnostics.push_back(std::move(d));
-    }
-  }
-  return verify;
-}
-
-Json requestStatsToJson(const svc::RequestStats& stats) {
-  JsonObject obj;
-  obj["shard"] = stats.shard;
-  obj["sequence"] = stats.sequence;
-  obj["shard_sequence"] = stats.shard_sequence;
-  obj["priority"] = static_cast<int>(stats.priority);
-  obj["queue_us"] = stats.queue_us;
-  obj["run_us"] = stats.run_us;
-  obj["program_cache_hit"] = stats.program_cache_hit;
-  obj["pool_queue_depth"] = static_cast<std::uint64_t>(stats.pool_queue_depth);
-  obj["session"] = stats.session;
-  obj["checker_session_hits"] = stats.checker_session_hits;
-  obj["ensemble_lanes"] = stats.ensemble_lanes;
-  obj["replicas_batched"] = stats.replicas_batched;
-  obj["replicas_scalar"] = stats.replicas_scalar;
-  obj["node_lanes"] = stats.node_lanes;
-  obj["nodes_batched"] = stats.nodes_batched;
-  obj["nodes_scalar"] = stats.nodes_scalar;
-  obj["retries"] = stats.retries;
-  obj["restored_from_disk"] = stats.restored_from_disk;
-  obj["rejected"] = static_cast<int>(stats.rejected);
-  return Json(std::move(obj));
-}
-
-svc::RequestStats requestStatsFromJson(Ctx& ctx, const Json& j) {
-  svc::RequestStats stats;
-  if (!needObject(ctx, j, "stats")) return stats;
-  getIntField(ctx, j, "shard", stats.shard);
-  getU64(ctx, j, "sequence", stats.sequence);
-  getU64(ctx, j, "shard_sequence", stats.shard_sequence);
-  int priority = 0;
-  getIntField(ctx, j, "priority", priority);
-  if (priority != 0 && priority != 1) {
-    ctx.fail("field priority: out of range");
-    return stats;
-  }
-  stats.priority = static_cast<svc::Priority>(priority);
-  getInt(ctx, j, "queue_us", stats.queue_us);
-  getInt(ctx, j, "run_us", stats.run_us);
-  getBool(ctx, j, "program_cache_hit", stats.program_cache_hit);
-  std::uint64_t depth = 0;
-  getU64(ctx, j, "pool_queue_depth", depth);
-  stats.pool_queue_depth = static_cast<std::size_t>(depth);
-  getU64(ctx, j, "session", stats.session);
-  getU64(ctx, j, "checker_session_hits", stats.checker_session_hits);
-  getIntField(ctx, j, "ensemble_lanes", stats.ensemble_lanes);
-  getIntField(ctx, j, "replicas_batched", stats.replicas_batched);
-  getIntField(ctx, j, "replicas_scalar", stats.replicas_scalar);
-  getIntField(ctx, j, "node_lanes", stats.node_lanes);
-  getU64(ctx, j, "nodes_batched", stats.nodes_batched);
-  getU64(ctx, j, "nodes_scalar", stats.nodes_scalar);
-  getIntField(ctx, j, "retries", stats.retries);
-  getBool(ctx, j, "restored_from_disk", stats.restored_from_disk);
-  int rejected = 0;
-  getIntField(ctx, j, "rejected", rejected);
-  if (rejected < 0 || rejected > static_cast<int>(svc::Reject::kInternal)) {
-    ctx.fail("field rejected: out of range");
-    return stats;
-  }
-  stats.rejected = static_cast<svc::Reject>(rejected);
-  return stats;
-}
-
-Json admissionToJson(const svc::Admission& admission) {
-  JsonObject obj;
-  if (admission.priority.has_value()) {
-    obj["priority"] = static_cast<int>(*admission.priority);
-  }
-  if (admission.deadline_us != 0) obj["deadline_us"] = admission.deadline_us;
-  return Json(std::move(obj));
-}
-
-svc::Admission admissionFromJson(Ctx& ctx, const Json& j) {
-  svc::Admission admission;
-  if (!needObject(ctx, j, "admission")) return admission;
-  if (j.has("priority")) {
-    int priority = 0;
-    getIntField(ctx, j, "priority", priority);
-    if (priority != 0 && priority != 1) {
-      ctx.fail("field admission.priority: out of range");
-      return admission;
-    }
-    admission.priority = static_cast<svc::Priority>(priority);
-  }
-  getInt(ctx, j, "deadline_us", admission.deadline_us);
-  return admission;
-}
-
-bool getPlaneImages(Ctx& ctx, const Json& j, const char* key,
-                    std::vector<svc::PlaneImage>& out) {
-  if (!j.has(key)) return true;
-  if (!j.at(key).isArray()) {
-    return ctx.fail(common::strFormat("field %s: expected array", key));
-  }
-  for (const Json& item : j.at(key).asArray()) {
-    out.push_back(planeImageFromJson(ctx, item));
-    if (!ctx.ok()) return false;
-  }
-  return true;
-}
-
-bool getPlaneRanges(Ctx& ctx, const Json& j, const char* key,
-                    std::vector<svc::PlaneRange>& out) {
-  if (!j.has(key)) return true;
-  if (!j.at(key).isArray()) {
-    return ctx.fail(common::strFormat("field %s: expected array", key));
-  }
-  for (const Json& item : j.at(key).asArray()) {
-    out.push_back(planeRangeFromJson(ctx, item));
-    if (!ctx.ok()) return false;
-  }
-  return true;
-}
+constexpr RequestSchema kRequests[] = {
+    request(FrameType::kSubmitSession, kSubmitSession),
+    request(FrameType::kGenerateAndRun, kGenerateAndRun),
+    request(FrameType::kRunEnsemble, kRunEnsemble),
+    request(FrameType::kRunSystemPhases, kRunSystemPhases),
+    request(FrameType::kOpenSession, kOpenSession),
+    request(FrameType::kSessionCommand, kSessionCommand),
+    request(FrameType::kCloseSession, kCloseSession),
+};
+static_assert(std::size(kRequests) == std::variant_size_v<svc::Request>);
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Hex words.
-// ---------------------------------------------------------------------------
-
 std::string encodeWordsHex(const std::vector<double>& words) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(words.size() * 16);
-  for (const double word : words) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(word));
-    std::memcpy(&bits, &word, sizeof(bits));
-    for (int shift = 60; shift >= 0; shift -= 4) {
-      out.push_back(kDigits[(bits >> static_cast<unsigned>(shift)) & 0xfULL]);
-    }
-  }
-  return out;
+  return wordsToHex(words);
 }
 
 bool decodeWordsHex(const std::string& hex, std::vector<double>& out) {
-  if (hex.size() % 16 != 0) return false;
-  out.clear();
-  out.reserve(hex.size() / 16);
-  for (std::size_t i = 0; i < hex.size(); i += 16) {
-    std::uint64_t bits = 0;
-    for (std::size_t j = 0; j < 16; ++j) {
-      const char c = hex[i + j];
-      std::uint64_t digit = 0;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<std::uint64_t>(10 + (c - 'a'));
-      } else {
-        return false;
-      }
-      bits = (bits << 4) | digit;
-    }
-    double word = 0.0;
-    std::memcpy(&word, &bits, sizeof(word));
-    out.push_back(word);
-  }
-  return true;
+  return wordsFromHex(hex, out);
 }
 
-// ---------------------------------------------------------------------------
-// Requests.
-// ---------------------------------------------------------------------------
-
 FrameType frameTypeFor(const svc::Request& request) {
-  if (std::holds_alternative<svc::OpenSession>(request)) {
-    return FrameType::kOpenSession;
-  }
-  if (std::holds_alternative<svc::SessionCommand>(request)) {
-    return FrameType::kSessionCommand;
-  }
-  if (std::holds_alternative<svc::CloseSession>(request)) {
-    return FrameType::kCloseSession;
-  }
-  if (std::holds_alternative<svc::SubmitSession>(request)) {
-    return FrameType::kSubmitSession;
-  }
-  if (std::holds_alternative<svc::GenerateAndRun>(request)) {
-    return FrameType::kGenerateAndRun;
-  }
-  if (std::holds_alternative<svc::RunEnsemble>(request)) {
-    return FrameType::kRunEnsemble;
-  }
-  return FrameType::kRunSystemPhases;
+  return kRequests[request.index()].type;
 }
 
 common::Json requestToJson(const svc::Request& request,
                            const svc::Admission& admission) {
-  JsonObject obj;
-  if (const auto* open = std::get_if<svc::OpenSession>(&request)) {
-    obj["script"] = open->script;
-  } else if (const auto* command = std::get_if<svc::SessionCommand>(&request)) {
-    obj["session"] = command->session;
-    obj["script"] = command->script;
-    obj["run"] = command->run;
-    JsonArray inputs;
-    for (const svc::PlaneImage& image : command->inputs) {
-      inputs.push_back(planeImageToJson(image));
-    }
-    obj["inputs"] = std::move(inputs);
-    JsonArray outputs;
-    for (const svc::PlaneRange& range : command->outputs) {
-      outputs.push_back(planeRangeToJson(range));
-    }
-    obj["outputs"] = std::move(outputs);
-  } else if (const auto* close = std::get_if<svc::CloseSession>(&request)) {
-    obj["session"] = close->session;
-  } else if (const auto* submit = std::get_if<svc::SubmitSession>(&request)) {
-    obj["script"] = submit->script;
-  } else if (const auto* gen = std::get_if<svc::GenerateAndRun>(&request)) {
-    obj["script"] = gen->script;
-    JsonArray inputs;
-    for (const svc::PlaneImage& image : gen->inputs) {
-      inputs.push_back(planeImageToJson(image));
-    }
-    obj["inputs"] = std::move(inputs);
-    JsonArray outputs;
-    for (const svc::PlaneRange& range : gen->outputs) {
-      outputs.push_back(planeRangeToJson(range));
-    }
-    obj["outputs"] = std::move(outputs);
-  } else if (const auto* ensemble = std::get_if<svc::RunEnsemble>(&request)) {
-    obj["script"] = ensemble->script;
-    obj["replicas"] = ensemble->replicas;
-    obj["lanes"] = ensemble->lanes;
-  } else if (const auto* system = std::get_if<svc::RunSystemPhases>(&request)) {
-    obj["script"] = system->script;
-    obj["dimension"] = system->dimension;
-    obj["phases"] = system->phases;
-    obj["node_lanes"] = system->node_lanes;
-    JsonObject router;
-    router["message_startup_cycles"] = system->router.message_startup_cycles;
-    router["hop_latency_cycles"] = system->router.hop_latency_cycles;
-    router["words_per_cycle"] = system->router.words_per_cycle;
-    obj["router"] = std::move(router);
-  }
-  const Json admission_json = admissionToJson(admission);
-  if (!admission_json.asObject().empty()) obj["admission"] = admission_json;
-  return Json(std::move(obj));
-}
-
-common::Result<DecodedRequest> requestFromJson(std::uint16_t type,
-                                               const common::Json& payload) {
-  if (!frameTypeIsRequest(type)) {
-    return Result<DecodedRequest>::error(
-        common::strFormat("frame type %u is not a request", type));
-  }
-  Ctx ctx;
-  DecodedRequest decoded;
-  if (!needObject(ctx, payload, "request payload")) {
-    return Result<DecodedRequest>::error(ctx.err);
-  }
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::kOpenSession: {
-      svc::OpenSession request;
-      getString(ctx, payload, "script", request.script);
-      decoded.request = std::move(request);
-      break;
-    }
-    case FrameType::kSessionCommand: {
-      svc::SessionCommand request;
-      getU64(ctx, payload, "session", request.session, /*required=*/true);
-      getString(ctx, payload, "script", request.script);
-      getBool(ctx, payload, "run", request.run);
-      getPlaneImages(ctx, payload, "inputs", request.inputs);
-      getPlaneRanges(ctx, payload, "outputs", request.outputs);
-      decoded.request = std::move(request);
-      break;
-    }
-    case FrameType::kCloseSession: {
-      svc::CloseSession request;
-      getU64(ctx, payload, "session", request.session, /*required=*/true);
-      decoded.request = request;
-      break;
-    }
-    case FrameType::kSubmitSession: {
-      svc::SubmitSession request;
-      getString(ctx, payload, "script", request.script, /*required=*/true);
-      decoded.request = std::move(request);
-      break;
-    }
-    case FrameType::kGenerateAndRun: {
-      svc::GenerateAndRun request;
-      getString(ctx, payload, "script", request.script, /*required=*/true);
-      getPlaneImages(ctx, payload, "inputs", request.inputs);
-      getPlaneRanges(ctx, payload, "outputs", request.outputs);
-      decoded.request = std::move(request);
-      break;
-    }
-    case FrameType::kRunEnsemble: {
-      svc::RunEnsemble request;
-      getString(ctx, payload, "script", request.script, /*required=*/true);
-      getIntField(ctx, payload, "replicas", request.replicas);
-      getIntField(ctx, payload, "lanes", request.lanes);
-      decoded.request = std::move(request);
-      break;
-    }
-    case FrameType::kRunSystemPhases: {
-      svc::RunSystemPhases request;
-      getString(ctx, payload, "script", request.script, /*required=*/true);
-      getIntField(ctx, payload, "dimension", request.dimension);
-      getIntField(ctx, payload, "phases", request.phases);
-      getIntField(ctx, payload, "node_lanes", request.node_lanes);
-      if (payload.has("router")) {
-        const Json& router = payload.at("router");
-        if (needObject(ctx, router, "router")) {
-          getU64(ctx, router, "message_startup_cycles",
-                 request.router.message_startup_cycles);
-          getU64(ctx, router, "hop_latency_cycles",
-                 request.router.hop_latency_cycles);
-          double words = request.router.words_per_cycle;
-          getNum(ctx, router, "words_per_cycle", words, /*required=*/false);
-          request.router.words_per_cycle = words;
-        }
-      }
-      decoded.request = std::move(request);
-      break;
-    }
-    default:
-      return Result<DecodedRequest>::error("unreachable");
-  }
-  if (ctx.ok() && payload.has("admission")) {
-    decoded.admission = admissionFromJson(ctx, payload.at("admission"));
-  }
-  if (!ctx.ok()) return Result<DecodedRequest>::error(ctx.err);
-  return decoded;
-}
-
-// ---------------------------------------------------------------------------
-// Replies.
-// ---------------------------------------------------------------------------
-
-common::Json replyToJson(const svc::ServiceReply& reply) {
-  JsonObject obj;
-  obj["status"] = statusToJson(reply.status);
-  obj["session"] = sessionResultToJson(reply.session);
-  obj["generation"] = generationToJson(reply.generation);
-  obj["run"] = runStatsToJson(reply.run);
-  JsonArray ensemble;
-  ensemble.reserve(reply.ensemble.size());
-  for (const sim::RunStats& run : reply.ensemble) {
-    ensemble.push_back(runStatsToJson(run));
-  }
-  obj["ensemble"] = std::move(ensemble);
-  obj["system"] = systemStatsToJson(reply.system);
-  JsonArray outputs;
-  outputs.reserve(reply.outputs.size());
-  for (const std::vector<double>& plane : reply.outputs) {
-    outputs.emplace_back(encodeWordsHex(plane));
-  }
-  obj["outputs"] = std::move(outputs);
-  if (reply.verify != nullptr) {
-    obj["verify"] = verifyToJson(*reply.verify);
-  } else {
-    obj["verify"] = nullptr;
-  }
-  obj["stats"] = requestStatsToJson(reply.stats);
-  obj["complete"] = ReplyAccess::complete(reply);
-  return Json(std::move(obj));
-}
-
-common::Result<svc::ServiceReply> replyFromJson(const common::Json& payload) {
-  Ctx ctx;
-  svc::ServiceReply reply;
-  if (!needObject(ctx, payload, "reply payload")) {
-    return Result<svc::ServiceReply>::error(ctx.err);
-  }
-  if (payload.has("status")) {
-    reply.status = statusFromJson(ctx, payload.at("status"));
-  }
-  if (payload.has("session")) {
-    reply.session = sessionResultFromJson(ctx, payload.at("session"));
-  }
-  if (payload.has("generation")) {
-    reply.generation = generationFromJson(ctx, payload.at("generation"));
-  }
-  if (payload.has("run")) {
-    reply.run = runStatsFromJson(ctx, payload.at("run"));
-  }
-  if (payload.has("ensemble")) {
-    if (!payload.at("ensemble").isArray()) {
-      ctx.fail("field ensemble: expected array");
-    } else {
-      for (const Json& run : payload.at("ensemble").asArray()) {
-        reply.ensemble.push_back(runStatsFromJson(ctx, run));
-        if (!ctx.ok()) break;
-      }
-    }
-  }
-  if (ctx.ok() && payload.has("system")) {
-    reply.system = systemStatsFromJson(ctx, payload.at("system"));
-  }
-  if (ctx.ok() && payload.has("outputs")) {
-    if (!payload.at("outputs").isArray()) {
-      ctx.fail("field outputs: expected array");
-    } else {
-      for (const Json& plane : payload.at("outputs").asArray()) {
-        if (!plane.isString()) {
-          ctx.fail("field outputs: expected hex strings");
-          break;
-        }
-        std::vector<double> words;
-        if (!decodeWordsHex(plane.asString(), words)) {
-          ctx.fail("field outputs: bad 16-hex word encoding");
-          break;
-        }
-        reply.outputs.push_back(std::move(words));
-      }
-    }
-  }
-  if (ctx.ok() && payload.has("verify") && !payload.at("verify").isNull()) {
-    reply.verify = verifyFromJson(ctx, payload.at("verify"));
-  }
-  if (ctx.ok() && payload.has("stats")) {
-    reply.stats = requestStatsFromJson(ctx, payload.at("stats"));
-  }
-  bool complete = false;
-  getBool(ctx, payload, "complete", complete);
-  ReplyAccess::setComplete(reply, complete);
-  if (!ctx.ok()) return Result<svc::ServiceReply>::error(ctx.err);
-  return reply;
-}
-
-const std::vector<std::string>& nondeterministicStatsFields() {
-  static const std::vector<std::string> kFields = {
-      "shard",    "sequence",       "shard_sequence",
-      "queue_us", "run_us",         "pool_queue_depth",
-  };
-  return kFields;
-}
-
-common::Json deterministicReplyJson(const svc::ServiceReply& reply) {
-  Json json = replyToJson(reply);
-  JsonObject& stats = json["stats"].asObject();
-  for (const std::string& field : nondeterministicStatsFields()) {
-    stats.erase(field);
+  const Table& schema = kRequests[request.index()].table;
+  Json json = std::visit(
+      [&](const auto& alternative) {
+        return encodeObject(schema.fields, &alternative, false);
+      },
+      request);
+  Json admission_json = encode(kAdmission, admission);
+  if (!admission_json.asObject().empty()) {
+    json["admission"] = std::move(admission_json);
   }
   return json;
 }
 
-// ---------------------------------------------------------------------------
-// Protocol errors.
-// ---------------------------------------------------------------------------
+common::Result<DecodedRequest> requestFromJson(std::uint16_t type,
+                                               const common::Json& payload) {
+  const auto* schema = std::find_if(
+      std::begin(kRequests), std::end(kRequests),
+      [type](const RequestSchema& s) {
+        return type == static_cast<std::uint16_t>(s.type);
+      });
+  if (schema == std::end(kRequests)) {
+    return Result<DecodedRequest>::error(
+        common::strFormat("frame type %u is not a request", type));
+  }
+  if (!payload.isObject()) {
+    return Result<DecodedRequest>::error("request payload: expected object");
+  }
+  DecodedRequest decoded{schema->make(), {}};
+  Decoder decoder;
+  std::visit(
+      [&](auto& alternative) {
+        decodeObject(decoder, schema->table.fields, payload, &alternative);
+      },
+      decoded.request);
+  const auto admission = payload.asObject().find("admission");
+  if (decoder.ok() && admission != payload.asObject().end()) {
+    Object<kAdmission>::decode(decoder, "admission", admission->second,
+                               decoded.admission);
+  }
+  if (!decoder.ok()) return Result<DecodedRequest>::error(decoder.error());
+  return decoded;
+}
+
+common::Json replyToJson(const svc::ServiceReply& reply) {
+  return encode(kReply, reply);
+}
+
+common::Result<svc::ServiceReply> replyFromJson(const common::Json& payload) {
+  svc::ServiceReply reply;
+  Decoder decoder;
+  if (!decode(decoder, kReply, payload, reply)) {
+    return Result<svc::ServiceReply>::error(decoder.error());
+  }
+  return reply;
+}
+
+const std::vector<std::string>& nondeterministicStatsFields() {
+  static const std::vector<std::string> kFields = [] {
+    std::vector<std::string> names;
+    for (const Field& f : kRequestStats.fields) {
+      if ((f.flags & kNondeterministic) != 0) names.emplace_back(f.name);
+    }
+    return names;
+  }();
+  return kFields;
+}
+
+common::Json deterministicReplyJson(const svc::ServiceReply& reply) {
+  return encode(kReply, reply, /*deterministic=*/true);
+}
 
 common::Json protocolErrorToJson(const ProtocolError& error) {
-  JsonObject obj;
-  obj["code"] = error.code;
-  obj["message"] = error.message;
-  return Json(std::move(obj));
+  return encode(kProtocolError, error);
 }
 
 ProtocolError protocolErrorFromJson(const common::Json& payload) {
-  ProtocolError error;
-  if (payload.isObject()) {
-    error.code = payload.getString("code", "unknown");
-    error.message = payload.getString("message");
-  } else {
-    error.code = "unknown";
-  }
+  ProtocolError error{"unknown", ""};
+  Decoder decoder;
+  decode(decoder, kProtocolError, payload, error);
   return error;
 }
 
@@ -948,6 +463,19 @@ const std::vector<const char*>& protocolErrorCodes() {
       "unknown-type", "bad-json", "bad-request",
   };
   return kCodes;
+}
+
+const std::vector<common::schema::Table>& wireTables() {
+  static const std::vector<Table> kTables = {
+      kPlaneImage,     kPlaneRange,      kAdmission,      kOpenSession,
+      kSessionCommand, kCloseSession,    kSubmitSession,  kGenerateAndRun,
+      kRunEnsemble,    kRunSystemPhases, kRouter,         kReply,
+      kStatus,         kSessionResult,   kGenerateResult, kDiagnostic,
+      kRunStats,       kInstrStats,      kSystemStats,    kVerifyReport,
+      kVerifyDiagnostic, kEndpoint,      kCycleWindow,    kRequestStats,
+      kProtocolError,
+  };
+  return kTables;
 }
 
 }  // namespace nsc::net

@@ -4,14 +4,21 @@
 //
 // Design rules:
 //
+//   * One field-descriptor table per struct (common/schema.h) is the whole
+//     codec: the encoder, the first-error-wins decoder, the deterministic
+//     reply mask and PROTOCOL.md's field tables all walk the same tables
+//     (wireTables()), so a field is added, renamed or documented in one
+//     place.  A binary payload codec would be a second interpretation of
+//     these tables, not a second set of per-struct functions.
 //   * Plane words (request inputs, reply read-backs) are bit-exact payload:
 //     they travel as concatenated 16-hex-digit IEEE-754 bit patterns — the
 //     same encoding session checkpoints use — never as JSON decimal text,
 //     so a reply read over a socket is bit-identical to the in-process one
 //     (the end-to-end golden in tests/test_net.cpp).
-//   * Enums travel as their integer codes; docs/PROTOCOL.md tables give the
-//     code <-> name mapping and the lockstep test checks each name against
-//     the code's own *Name() function.
+//   * Enums travel as their integer codes.  Integer and enum fields reject
+//     what their C++ type cannot hold — NaN, infinities, fractions, values
+//     outside the type or past the enum's last code — with "field <name>:
+//     out of range", which the server answers as a bad-request error.
 //   * u64 counters travel as JSON numbers (exact to 2^53 — beyond any
 //     counter the simulator produces); the one field that legitimately
 //     saturates u64, CycleWindow::last (kForever), travels as a decimal
@@ -29,6 +36,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/schema.h"
 #include "common/status.h"
 #include "net/frame.h"
 #include "service/service.h"
@@ -36,7 +44,7 @@
 namespace nsc::net {
 
 // Bit-exact doubles <-> concatenated 16-hex-digit IEEE-754 bit patterns
-// (the session-checkpoint scheme, re-exposed for the wire).
+// (the schema's Words kind, re-exposed for the wire).
 std::string encodeWordsHex(const std::vector<double>& words);
 bool decodeWordsHex(const std::string& hex, std::vector<double>& out);
 
@@ -71,9 +79,10 @@ common::Json replyToJson(const svc::ServiceReply& reply);
 common::Result<svc::ServiceReply> replyFromJson(const common::Json& payload);
 
 // The reply fields that are nondeterministic by contract (timings, shard
-// placement, pool backlog).  The end-to-end golden strips these before
-// comparing a wire reply against its in-process reference; PROTOCOL.md
-// documents the same list.
+// placement, pool backlog): the RequestStats fields flagged
+// nondeterministic in their table.  The end-to-end golden strips these
+// before comparing a wire reply against its in-process reference;
+// PROTOCOL.md documents the same list.
 const std::vector<std::string>& nondeterministicStatsFields();
 
 // replyToJson with the nondeterministic stats fields removed — two replies
@@ -95,5 +104,8 @@ struct ProtocolError {
 common::Json protocolErrorToJson(const ProtocolError& error);
 ProtocolError protocolErrorFromJson(const common::Json& payload);
 const std::vector<const char*>& protocolErrorCodes();
+
+// Every payload table, for docs/PROTOCOL.md's generated field tables.
+const std::vector<common::schema::Table>& wireTables();
 
 }  // namespace nsc::net

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <optional>
 
+#include "common/schema.h"
 #include "common/strings.h"
 #include "sim/verify.h"
 
@@ -12,54 +14,72 @@ namespace nsc {
 
 namespace {
 
-// Bit-exact double <-> text: every word is its 16-hex-digit IEEE-754 bit
-// pattern.  JSON decimal text does not round-trip doubles exactly; this
-// does, which is what makes checkpoint/restore bit-identical.
-void appendWordHex(std::string& out, double word) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(word));
-  std::memcpy(&bits, &word, sizeof(bits));
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out.push_back(kDigits[(bits >> static_cast<unsigned>(shift)) & 0xfULL]);
-  }
-}
+// The table vocabulary: field, table and the codec kinds.
+using namespace common::schema;
 
-std::string encodeWords(const std::vector<double>& words) {
-  std::string out;
-  out.reserve(words.size() * 16);
-  for (const double w : words) appendWordHex(out, w);
-  return out;
-}
+// The checkpoint document.  Every double travels as its 16-hex-digit
+// IEEE-754 bit pattern (the schema's Words kind): JSON decimal text does not
+// round-trip doubles exactly, this does, which is what makes
+// checkpoint/restore bit-identical.
+struct PlaneEntry {
+  int plane = -1;
+  std::vector<double> words;
+};
+struct CacheEntry {
+  int cache = -1;
+  int buffer = -1;
+  std::vector<double> words;
+};
+struct NodeState {
+  int pc = 0;
+  bool halted = false;
+  std::vector<bool> cond;
+  std::vector<PlaneEntry> planes;
+  std::vector<CacheEntry> caches;
+};
+struct CheckpointState {
+  std::string format;
+  int version = -1;
+  std::uint64_t resets = 1;
+  std::optional<std::uint64_t> scripts_run;  // absent: one per script
+  std::vector<std::string> scripts;
+  NodeState node;
+};
 
-bool decodeWords(const std::string& hex, std::vector<double>& out) {
-  if (hex.size() % 16 != 0) return false;
-  out.clear();
-  out.reserve(hex.size() / 16);
-  for (std::size_t i = 0; i < hex.size(); i += 16) {
-    std::uint64_t bits = 0;
-    for (std::size_t j = 0; j < 16; ++j) {
-      const char c = hex[i + j];
-      std::uint64_t digit = 0;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<std::uint64_t>(10 + (c - 'a'));
-      } else {
-        return false;
-      }
-      bits = (bits << 4) | digit;
-    }
-    double word = 0.0;
-    std::memcpy(&word, &bits, sizeof(word));
-    out.push_back(word);
-  }
-  return true;
-}
+constexpr auto kPlaneEntry = table<PlaneEntry>("PlaneEntry", {
+    field<&PlaneEntry::plane>("plane", "memory plane id"),
+    field<&PlaneEntry::words>("words", "the whole backing store"),
+});
+
+constexpr auto kCacheEntry = table<CacheEntry>("CacheEntry", {
+    field<&CacheEntry::cache>("cache", "cache id"),
+    field<&CacheEntry::buffer>("buffer", "buffer of that cache"),
+    field<&CacheEntry::words>("words", "the whole buffer"),
+});
+
+constexpr auto kNode = table<NodeState>("NodeState", {
+    field<&NodeState::pc>("pc", "sequencer position"),
+    field<&NodeState::halted>("halted", "the node halted"),
+    field<&NodeState::cond>("cond", "condition registers"),
+    field<&NodeState::planes, List<Object<kPlaneEntry>>>(
+        "planes", "allocated planes; untouched ones are left out"),
+    field<&NodeState::caches, List<Object<kCacheEntry>>>(
+        "caches", "cache buffers holding a nonzero bit"),
+});
+
+constexpr auto kCheckpoint = table<CheckpointState>("Checkpoint", {
+    field<&CheckpointState::format>("format", "kStateFormat"),
+    field<&CheckpointState::version>("version", "kStateVersion"),
+    field<&CheckpointState::resets>("resets", "reset() calls"),
+    field<&CheckpointState::scripts_run, Nullable<Int<std::uint64_t>>>(
+        "scripts_run", "runSession() calls"),
+    field<&CheckpointState::scripts>("scripts", "replay log", kRequired),
+    field<&CheckpointState::node, Object<kNode>>("node", "node memory image",
+                                                 kRequired),
+});
 
 // True when every word is bit-pattern zero (+0.0; -0.0 and denormals count
-// as data).  Untouched cache buffers read as all +0.0, so buffers that
-// still look untouched are omitted from the payload.
+// as data).  Buffers that still look untouched are omitted from the payload.
 bool allZeroBits(const std::vector<double>& words) {
   for (const double w : words) {
     std::uint64_t bits = 0;
@@ -93,82 +113,54 @@ ed::SessionResult WorkbenchCore::runSession(const std::string& script) {
 }
 
 common::Json WorkbenchCore::serializeState() const {
-  common::JsonObject root;
-  root["format"] = common::Json(kStateFormat);
-  root["version"] = common::Json(kStateVersion);
-  root["resets"] = common::Json(resets_);
-  root["scripts_run"] = common::Json(scripts_run_);
-
-  common::JsonArray scripts;
-  scripts.reserve(script_log_.size());
-  for (const std::string& script : script_log_) {
-    scripts.emplace_back(script);
-  }
-  root["scripts"] = common::Json(std::move(scripts));
-
-  const sim::NodeSim::Snapshot snap = node_->snapshot();
-  common::JsonObject node;
-  node["pc"] = common::Json(snap.pc);
-  node["halted"] = common::Json(snap.halted);
-  common::JsonArray cond;
-  cond.reserve(snap.cond_regs.size());
-  for (const bool b : snap.cond_regs) cond.emplace_back(b);
-  node["cond"] = common::Json(std::move(cond));
-  // Planes allocate on first touch, so untouched planes are empty vectors
-  // and omitted; allocated planes are stored whole (including trailing
-  // zeros) so the restored backing-store sizes match exactly.
-  common::JsonArray planes;
+  CheckpointState state;
+  state.format = kStateFormat;
+  state.version = kStateVersion;
+  state.resets = resets_;
+  state.scripts_run = scripts_run_;
+  state.scripts = script_log_;
+  sim::NodeSim::Snapshot snap = node_->snapshot();
+  state.node.pc = snap.pc;
+  state.node.halted = snap.halted;
+  state.node.cond = std::move(snap.cond_regs);
+  // Planes allocate on first touch, so untouched planes are empty and left
+  // out; allocated planes are stored whole (including trailing zeros) so
+  // the restored backing-store sizes match exactly.  The snapshot shows
+  // every cache buffer at full size, untouched ones as zeros; all-zero
+  // buffers are left out.
   for (std::size_t p = 0; p < snap.planes.size(); ++p) {
     if (snap.planes[p].empty()) continue;
-    common::JsonObject entry;
-    entry["plane"] = common::Json(static_cast<std::uint64_t>(p));
-    entry["words"] = common::Json(encodeWords(snap.planes[p]));
-    planes.emplace_back(std::move(entry));
+    state.node.planes.push_back(
+        {static_cast<int>(p), std::move(snap.planes[p])});
   }
-  node["planes"] = common::Json(std::move(planes));
-  // The snapshot shows every cache buffer at full size, untouched ones as
-  // zeros; all-zero buffers are left out.
-  common::JsonArray caches;
   for (std::size_t c = 0; c < snap.caches.size(); ++c) {
     for (std::size_t b = 0; b < snap.caches[c].size(); ++b) {
       if (allZeroBits(snap.caches[c][b])) continue;
-      common::JsonObject entry;
-      entry["cache"] = common::Json(static_cast<std::uint64_t>(c));
-      entry["buffer"] = common::Json(static_cast<std::uint64_t>(b));
-      entry["words"] = common::Json(encodeWords(snap.caches[c][b]));
-      caches.emplace_back(std::move(entry));
+      state.node.caches.push_back({static_cast<int>(c), static_cast<int>(b),
+                                   std::move(snap.caches[c][b])});
     }
   }
-  node["caches"] = common::Json(std::move(caches));
-  root["node"] = common::Json(std::move(node));
-  return common::Json(std::move(root));
+  return encode(kCheckpoint, state);
 }
 
 common::Status WorkbenchCore::restoreState(const common::Json& state) {
   using common::strFormat;
+  CheckpointState decoded;
+  Decoder decoder;
+  decode(decoder, kCheckpoint, state, decoded);
   // Validate the envelope before touching any state, so a wrong-version
-  // payload leaves the core exactly as it was.
-  if (!state.isObject()) {
-    return common::Status::error("checkpoint: payload is not an object");
+  // payload leaves the core exactly as it was.  format and version decode
+  // first, so a payload of another format or version is reported as such
+  // whatever else it holds.
+  if (decoded.format != kStateFormat) {
+    return common::Status::error(
+        strFormat("checkpoint: unsupported format '%s' (expected '%s')",
+                  decoded.format.c_str(), kStateFormat));
   }
-  if (state.getString("format") != kStateFormat) {
+  if (decoded.version != kStateVersion) {
     return common::Status::error(strFormat(
-        "checkpoint: unsupported format '%s' (expected '%s')",
-        state.getString("format").c_str(), kStateFormat));
-  }
-  if (state.getInt("version", -1) != kStateVersion) {
-    return common::Status::error(strFormat(
-        "checkpoint: unsupported version %lld (this build reads version %d)",
-        static_cast<long long>(state.getInt("version", -1)), kStateVersion));
-  }
-  if (!state.has("scripts") || !state.at("scripts").isArray() ||
-      !state.has("node") || !state.at("node").isObject()) {
-    return common::Status::error("checkpoint: missing scripts/node sections");
-  }
-  for (const common::Json& script : state.at("scripts").asArray()) {
-    if (!script.isString()) {
-      return common::Status::error("checkpoint: script entry is not a string");
-    }
+        "checkpoint: unsupported version %d (this build reads version %d)",
+        decoded.version, kStateVersion));
   }
 
   // From here on the core is mutated; any failure resets it back to the
@@ -178,79 +170,56 @@ common::Status WorkbenchCore::restoreState(const common::Json& state) {
     reset();
     return common::Status::error(std::move(message));
   };
+  if (!decoder.ok()) return fail("checkpoint: " + decoder.error());
 
   // Editor state restores by replay: PR 5's split-session parity makes the
   // replayed editor (documents, undo history, warm checker sessions)
   // bit-identical to the one that was checkpointed.
-  for (const common::Json& script : state.at("scripts").asArray()) {
-    runSession(script.asString());
-  }
+  for (const std::string& script : decoded.scripts) runSession(script);
 
   // Node memory restores by direct image adoption, starting from the fresh
   // node's snapshot so every shape matches this machine config.
   sim::NodeSim::Snapshot snap = node_->snapshot();
-  const common::Json& node = state.at("node");
-  snap.pc = static_cast<int>(node.getInt("pc", 0));
-  snap.halted = node.getBool("halted", false);
-  if (node.has("cond")) {
-    const common::JsonArray& cond = node.at("cond").asArray();
-    if (cond.size() != snap.cond_regs.size()) {
-      return fail("checkpoint: condition-register count mismatch");
-    }
-    for (std::size_t i = 0; i < cond.size(); ++i) {
-      if (!cond[i].isBool()) {
-        return fail("checkpoint: condition register is not a bool");
-      }
-      snap.cond_regs[i] = cond[i].asBool();
-    }
+  NodeState& node = decoded.node;
+  snap.pc = node.pc;
+  snap.halted = node.halted;
+  if (node.cond.size() != snap.cond_regs.size()) {
+    return fail("checkpoint: condition-register count mismatch");
   }
-  if (node.has("planes")) {
-    for (const common::Json& entry : node.at("planes").asArray()) {
-      const std::int64_t plane = entry.getInt("plane", -1);
-      if (plane < 0 || plane >= static_cast<std::int64_t>(snap.planes.size())) {
-        return fail(strFormat("checkpoint: plane %lld out of range",
-                              static_cast<long long>(plane)));
-      }
-      if (!decodeWords(entry.getString("words"),
-                       snap.planes[static_cast<std::size_t>(plane)])) {
-        return fail(strFormat("checkpoint: plane %lld has malformed words",
-                              static_cast<long long>(plane)));
-      }
+  snap.cond_regs = std::move(node.cond);
+  for (PlaneEntry& entry : node.planes) {
+    if (entry.plane < 0 ||
+        static_cast<std::size_t>(entry.plane) >= snap.planes.size()) {
+      return fail(strFormat("checkpoint: plane %d out of range", entry.plane));
     }
+    snap.planes[static_cast<std::size_t>(entry.plane)] = std::move(entry.words);
   }
-  if (node.has("caches")) {
-    for (const common::Json& entry : node.at("caches").asArray()) {
-      const std::int64_t cache = entry.getInt("cache", -1);
-      const std::int64_t buffer = entry.getInt("buffer", -1);
-      if (cache < 0 || cache >= static_cast<std::int64_t>(snap.caches.size())) {
-        return fail(strFormat("checkpoint: cache %lld out of range",
-                              static_cast<long long>(cache)));
-      }
-      auto& buffers = snap.caches[static_cast<std::size_t>(cache)];
-      if (buffer < 0 || buffer >= static_cast<std::int64_t>(buffers.size())) {
-        return fail(strFormat("checkpoint: cache buffer %lld out of range",
-                              static_cast<long long>(buffer)));
-      }
-      auto& words = buffers[static_cast<std::size_t>(buffer)];
-      const std::size_t expected = words.size();
-      if (!decodeWords(entry.getString("words"), words) ||
-          words.size() != expected) {
-        return fail(strFormat("checkpoint: cache %lld/%lld has malformed words",
-                              static_cast<long long>(cache),
-                              static_cast<long long>(buffer)));
-      }
+  const std::size_t cache_words = context_.machine().config().cacheWords();
+  for (CacheEntry& entry : node.caches) {
+    if (entry.cache < 0 ||
+        static_cast<std::size_t>(entry.cache) >= snap.caches.size()) {
+      return fail(strFormat("checkpoint: cache %d out of range", entry.cache));
     }
+    auto& buffers = snap.caches[static_cast<std::size_t>(entry.cache)];
+    if (entry.buffer < 0 ||
+        static_cast<std::size_t>(entry.buffer) >= buffers.size()) {
+      return fail(strFormat("checkpoint: cache buffer %d out of range",
+                            entry.buffer));
+    }
+    if (entry.words.size() != cache_words) {
+      return fail(strFormat("checkpoint: cache %d/%d holds %zu words, not %zu",
+                            entry.cache, entry.buffer, entry.words.size(),
+                            cache_words));
+    }
+    buffers[static_cast<std::size_t>(entry.buffer)] = std::move(entry.words);
   }
   node_->restoreSnapshot(std::move(snap));
 
   // Lifetime counters carry over so checkpoint() diffs stay continuous
   // across the migration (the replay above bumped them; overwrite with the
   // source core's values).
-  resets_ = static_cast<std::uint64_t>(state.getInt("resets", 1));
-  scripts_run_ =
-      static_cast<std::uint64_t>(state.getInt("scripts_run",
-                                              static_cast<std::int64_t>(
-                                                  script_log_.size())));
+  resets_ = decoded.resets;
+  scripts_run_ = decoded.scripts_run.value_or(script_log_.size());
   return common::Status::ok();
 }
 

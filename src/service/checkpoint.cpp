@@ -10,6 +10,7 @@
 #include <system_error>
 
 #include "common/env.h"
+#include "common/schema.h"
 #include "common/strings.h"
 #include "nsc/workbench.h"
 
@@ -29,33 +30,6 @@ std::optional<std::string> readFile(const std::string& path) {
   buffer << in.rdbuf();
   if (in.bad()) return std::nullopt;
   return std::move(buffer).str();
-}
-
-std::string hex16(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xfULL];
-    value >>= 4;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> parseHex16(const std::string& text) {
-  if (text.size() != 16) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(10 + (c - 'a'));
-    } else {
-      return std::nullopt;
-    }
-    value = (value << 4) | digit;
-  }
-  return value;
 }
 
 }  // namespace
@@ -90,7 +64,7 @@ std::string CheckpointStore::frame(const std::string& payload) {
   out.reserve(payload.size() + 48);
   out += kMagic;
   out += ' ';
-  out += hex16(common::fnv1a64(payload));
+  common::schema::appendHex16(out, common::fnv1a64(payload));
   out += ' ';
   out += std::to_string(payload.size());
   out += '\n';
@@ -183,9 +157,10 @@ CheckpointStore::ReadResult CheckpointStore::read(
     return fail(CheckpointError::kBadMagic,
                 strFormat("bad header '%s'", header.c_str()));
   }
-  const std::optional<std::uint64_t> checksum = parseHex16(fields[1]);
+  std::uint64_t checksum = 0;
+  const bool checksum_ok = common::schema::parseHex16(fields[1], checksum);
   const std::optional<long long> declared = common::parseInt(fields[2]);
-  if (!checksum.has_value() || !declared.has_value() || *declared < 0) {
+  if (!checksum_ok || !declared.has_value() || *declared < 0) {
     return fail(CheckpointError::kBadMagic,
                 strFormat("bad header '%s'", header.c_str()));
   }
@@ -195,7 +170,7 @@ CheckpointStore::ReadResult CheckpointStore::read(
                 strFormat("payload is %zu bytes, header declares %lld",
                           payload.size(), *declared));
   }
-  if (common::fnv1a64(payload) != *checksum) {
+  if (common::fnv1a64(payload) != checksum) {
     return fail(CheckpointError::kChecksum, "payload checksum mismatch");
   }
   common::Result<common::Json> parsed = common::Json::parse(payload);

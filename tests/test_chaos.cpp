@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -174,6 +175,17 @@ TEST(CheckpointStateTest, RestoreRejectsBadPayloadsAndStaysUsable) {
   entry["words"] = common::Json("zz");  // not hex, not 16-char aligned
   bad_words["node"]["planes"].asArray().emplace_back(std::move(entry));
   EXPECT_FALSE(core.restoreState(bad_words).isOk());
+
+  // A plane id no int holds is refused, never cast.
+  common::Json nan_plane = core.serializeState();
+  common::JsonObject nan_entry;
+  nan_entry["plane"] = common::Json(std::numeric_limits<double>::quiet_NaN());
+  nan_plane["node"]["planes"].asArray().emplace_back(std::move(nan_entry));
+  const common::Status nan_status = core.restoreState(nan_plane);
+  ASSERT_FALSE(nan_status.isOk());
+  EXPECT_NE(nan_status.message().find("field plane: out of range"),
+            std::string::npos)
+      << nan_status.message();
 
   // After every rejection the core still serves like a fresh one.
   const ed::SessionResult replay = core.runSession(tripleScript(2.0));

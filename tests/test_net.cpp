@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -207,6 +208,21 @@ TEST(WireTest, EveryRequestTypeRoundTripsThroughJson) {
   }
 }
 
+// An explicit interactive priority (code 0) travels: only an unset one is
+// left out, so a batch-by-default request can still be sent interactive.
+TEST(WireTest, ExplicitInteractivePriorityTravels) {
+  svc::Admission interactive;
+  interactive.priority = svc::Priority::kInteractive;
+  const common::Json payload =
+      net::requestToJson(svc::RunEnsemble{"check\n", 2, 0}, interactive);
+  EXPECT_EQ(payload.at("admission").dump(), R"({"priority":0})");
+  auto decoded = net::requestFromJson(
+      static_cast<std::uint16_t>(net::FrameType::kRunEnsemble), payload);
+  ASSERT_TRUE(decoded.isOk()) << decoded.message();
+  EXPECT_EQ(decoded.value().admission.priority, svc::Priority::kInteractive);
+  EXPECT_FALSE(net::requestToJson(svc::RunEnsemble{}, {}).has("admission"));
+}
+
 TEST(WireTest, RequestDecodeRejectsTypeErrorsWithFieldMessages) {
   const std::uint16_t open =
       static_cast<std::uint16_t>(net::FrameType::kOpenSession);
@@ -243,6 +259,32 @@ TEST(WireTest, RequestDecodeRejectsTypeErrorsWithFieldMessages) {
     obj["inputs"] = std::move(inputs);
     EXPECT_FALSE(net::requestFromJson(cmd, common::Json(std::move(obj))).isOk());
   }
+  // Integer fields reject what their C++ type cannot hold instead of
+  // wrapping, truncating or casting NaN.
+  const auto out_of_range = [](net::FrameType type, const std::string& text,
+                               const std::string& field) {
+    const auto payload = common::Json::parse(text);
+    ASSERT_TRUE(payload.isOk()) << text;
+    auto result = net::requestFromJson(static_cast<std::uint16_t>(type),
+                                       payload.value());
+    ASSERT_FALSE(result.isOk()) << text;
+    EXPECT_EQ(result.message(), "field " + field + ": out of range") << text;
+  };
+  out_of_range(net::FrameType::kRunEnsemble,
+               R"({"script": "", "replicas": 4294967297})", "replicas");
+  out_of_range(net::FrameType::kRunEnsemble,
+               R"({"script": "", "replicas": 2.75})", "replicas");
+  out_of_range(net::FrameType::kSessionCommand,
+               R"({"session": 1, "outputs": [{"plane": 4294967300}]})",
+               "plane");
+  out_of_range(net::FrameType::kCloseSession, R"({"session": NaN})",
+               "session");
+  out_of_range(net::FrameType::kCloseSession, R"({"session": -1})",
+               "session");
+  out_of_range(net::FrameType::kSessionCommand,
+               R"({"session": 1, "inputs": [{"base": Infinity}]})", "base");
+  out_of_range(net::FrameType::kOpenSession,
+               R"({"admission": {"priority": 2}})", "priority");
 }
 
 TEST(WireTest, ProtocolErrorPayloadRoundTrips) {
@@ -407,6 +449,33 @@ svc::ServiceReply sampleReply() {
   reply.stats.restored_from_disk = true;
   reply.stats.rejected = svc::Reject::kUnknownSession;
   return reply;
+}
+
+// Enum codes past an enum's last value are refused on the reply side too,
+// for every enum field, instead of being cast into the enum unchecked.
+TEST(WireTest, ReplyDecodeRejectsEnumCodesPastTheLastOne) {
+  const common::Json reply = net::replyToJson(sampleReply());
+  const auto rejects = [&](const std::string& field,
+                           const std::function<void(common::Json&)>& edit) {
+    common::Json bad = reply;
+    edit(bad);
+    auto result = net::replyFromJson(bad);
+    ASSERT_FALSE(result.isOk()) << field;
+    EXPECT_EQ(result.message(), "field " + field + ": out of range");
+  };
+  rejects("rule", [](common::Json& j) {
+    j["generation"]["diagnostics"].asArray()[0]["rule"] = 24;
+  });
+  rejects("code", [](common::Json& j) {
+    j["verify"]["diagnostics"].asArray()[0]["code"] = 11;
+  });
+  rejects("kind", [](common::Json& j) {
+    j["verify"]["diagnostics"].asArray()[0]["endpoint"]["kind"] = 9;
+  });
+  rejects("fault", [](common::Json& j) {
+    j["run"]["trace"].asArray()[0]["fault"] = 3;
+  });
+  rejects("rejected", [](common::Json& j) { j["stats"]["rejected"] = 7; });
 }
 
 const char* frameTypeName(std::uint16_t code) {
@@ -887,17 +956,14 @@ TEST_F(ServerTest, PipelinedRequestsComeBackByRequestId) {
 // ---------------------------------------------------------------------------
 // docs/PROTOCOL.md lockstep: the normative doc must name the magic, the
 // version, every frame type with its code, every protocol error code, and
-// every nondeterministic stats field.  Changing the wire contract without
+// every nondeterministic stats field, and hold every payload table exactly
+// as its field descriptors render it.  Changing the wire contract without
 // updating the doc fails here.
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolDocTest, DocumentsTheWireContractInLockstepWithTheCode) {
-  const std::string path = std::string(NSC_REPO_DIR) + "/docs/PROTOCOL.md";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path << " missing";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string doc = buffer.str();
+  const std::string doc = readRepoFile("docs/PROTOCOL.md");
+  ASSERT_FALSE(doc.empty()) << "docs/PROTOCOL.md missing";
 
   EXPECT_NE(doc.find("NSCW"), std::string::npos) << "magic";
   EXPECT_NE(doc.find("version"), std::string::npos);
@@ -915,12 +981,20 @@ TEST(ProtocolDocTest, DocumentsTheWireContractInLockstepWithTheCode) {
     EXPECT_NE(doc.find("`" + field + "`"), std::string::npos)
         << "nondeterministic stats field " << field << " undocumented";
   }
-  // Reply schema top-level keys.
-  for (const char* key : {"status", "session", "generation", "run",
-                          "ensemble", "system", "outputs", "verify", "stats",
-                          "complete"}) {
-    EXPECT_NE(doc.find(std::string("`") + key + "`"), std::string::npos)
-        << "reply field " << key << " undocumented";
+  // Field tables are generated: each sits between its schema markers.
+  for (const common::schema::Table& table : net::wireTables()) {
+    const std::string name(table.name);
+    const std::string expected = common::schema::markdown(table);
+    const std::string open = "<!-- schema:" + name + " -->\n";
+    const std::size_t begin = doc.find(open);
+    const std::size_t end = doc.find("<!-- /schema -->", begin);
+    const std::string block =
+        begin == std::string::npos || end == std::string::npos
+            ? std::string()
+            : doc.substr(begin + open.size(), end - begin - open.size());
+    EXPECT_EQ(block, expected) << "docs/PROTOCOL.md block for " << name
+                               << " should read:\n"
+                               << open << expected << "<!-- /schema -->";
   }
 }
 
